@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hodge
 from .complexes import Simplex, SimplicialComplex, degree, min_degree, missing_faces, simplex
 from .errors import DomainError, InputError, IntegrityError
-from .operators import OperatorMatrix, laplacian
+from .operators import OperatorMatrix
 from .spectral import betti, spectral_gap
 
 BOUND_TOL = 1e-7
@@ -54,16 +55,10 @@ def gershgorin_from_degrees(X: SimplicialComplex, k: int) -> int:
     """
     if k < 0:
         raise InputError("degree row bound needs k >= 0")
-    faces = X.faces(k)
-    if not faces:
+    if not X.faces(k):
         raise DomainError(f"no faces of dimension {k}")
-    best = None
-    for s in faces:
-        facet_deg = sum(degree(X, s[:d] + s[d + 1 :]) for d in range(len(s)))
-        val = (k + 2) * degree(X, s) + 2 * (k + 1) - facet_deg
-        if best is None or val < best:
-            best = val
-    return int(best)
+    rows = (k + 2) * hodge.degrees(X, k) + 2 * (k + 1) - hodge.facet_degree_sums(X, k)
+    return int(rows.min())
 
 
 def effective_missing_dim(X: SimplicialComplex) -> tuple[int, bool]:
@@ -200,7 +195,7 @@ def spectral_gap_bound(
     bound = (d + 1) * (delta + k + 1) - d * n
 
     if k >= 0:
-        gersh = gershgorin_lower_bound(laplacian(X, k))
+        gersh = gershgorin_lower_bound(hodge.laplacian(X, k))
         row = gershgorin_from_degrees(X, k)
         if gersh != row:
             raise IntegrityError(
@@ -256,6 +251,7 @@ def vanishing_threshold(X: SimplicialComplex) -> VanishingReport:
     n = X.num_vertices
     k_min = (d * n) // (d + 1)
     # smallest integer k with k > d*n/(d+1) - 1
-    assert (d + 1) * (k_min + 1) > d * n and (d + 1) * k_min <= d * n
+    if not (d + 1) * (k_min + 1) > d * n >= (d + 1) * k_min:
+        raise IntegrityError(f"k_min={k_min} is not the vanishing threshold for d={d}, n={n}")
     verified = all(betti(X, k) == 0 for k in range(k_min, X.dim + 1))
     return VanishingReport(k_min=k_min, verified=verified, d=d, d_convention=conv)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import bounds as bounds_mod
 from . import complexes as cx
-from . import extremal, operators, spectral
+from . import extremal, hodge, operators, spectral
 from .errors import InputError, IntegrityError
 
 
@@ -170,7 +170,7 @@ def _maybe_dump(X: cx.SimplicialComplex, args) -> None:
         return
     if args.k == "all":
         raise InputError("--dump-matrix needs a specific --k")
-    L = operators.laplacian(X, int(args.k))
+    L = hodge.laplacian(X, int(args.k))
     with open(path, "w", encoding="utf-8") as fh:
         L.dump(fh)
 
@@ -372,7 +372,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         if k:
             p.add_argument("--k", default="all", help="dimension, integer or 'all'")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--tol", type=float, default=1e-7, help="equality tolerance")
 
     p = sub.add_parser("build", help="construct a complex and print its summary")
     common(p, k=False)
@@ -406,6 +405,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equality", help="test the d=1 gap equality and certify the witness")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-7, help="equality tolerance")
 
     p = sub.add_parser("probe", help="search for gap equality cases at d >= 2")
     p.add_argument("--d", type=int, required=True)

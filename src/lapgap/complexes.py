@@ -41,9 +41,16 @@ class SimplicialComplex:
     constructors contain every singleton ``{v}``; subcomplexes produced by
     :func:`link` and :func:`induced` may omit some of them while keeping the
     ambient ids of the parent complex.
+
+    ``_hodge`` holds the complex's :class:`~lapgap.hodge.HodgeContext`,
+    created on first use: degree vectors, Laplacians, spectra and ranks,
+    each computed once and freed with the complex.  Two threads that fill
+    the same entry at once both compute it and one result wins; the results
+    are equal, so the race is benign.  The context takes no part in
+    equality or hashing.
     """
 
-    __slots__ = ("n", "_by_dim", "_faces", "_dim")
+    __slots__ = ("n", "_by_dim", "_faces", "_dim", "_hodge")
 
     def __init__(self, n: int, faces: Iterable[Sequence[int]]):
         if n < 1:
@@ -66,6 +73,7 @@ class SimplicialComplex:
         self._faces = frozenset(face_set)
         self._dim = max(by_dim)
         self._by_dim = {k: tuple(sorted(v)) for k, v in by_dim.items()}
+        self._hodge = None
 
     @property
     def dim(self) -> int:
@@ -208,7 +216,11 @@ def induced(X: SimplicialComplex, U: Iterable[int]) -> SimplicialComplex:
 
 
 def degree(X: SimplicialComplex, sigma: Sequence[int]) -> int:
-    """Number of cofaces of sigma of one dimension higher."""
+    """Number of cofaces of sigma of one dimension higher.
+
+    Probes every vertex; the reference route that the degree vectors of
+    :mod:`lapgap.hodge` are checked against.
+    """
     s = simplex(sigma)
     if s not in X:
         raise InputError(f"{s} is not a face of the complex")
@@ -224,10 +236,11 @@ def degree(X: SimplicialComplex, sigma: Sequence[int]) -> int:
 
 def min_degree(X: SimplicialComplex, k: int) -> int:
     """Minimum degree over the k-faces; for k = -1 this is the vertex count."""
-    faces = X.faces(k)
-    if not faces:
+    from .hodge import degrees  # hodge builds on this module
+
+    if not X.faces(k):
         raise DomainError(f"no faces of dimension {k}")
-    return min(degree(X, s) for s in faces)
+    return int(degrees(X, k).min())
 
 
 @dataclass(frozen=True)
@@ -286,11 +299,12 @@ def from_missing_faces(n: int, missing: Iterable[Sequence[int]]) -> SimplicialCo
 
 def facets(X: SimplicialComplex) -> tuple[Simplex, ...]:
     """Maximal faces, ordered by (dimension, lexicographic)."""
-    out = [f for f in X.all_faces() if f and degree(X, f) == 0]
-    if not out:
-        return ((),)
-    out.sort(key=lambda f: (len(f), f))
-    return tuple(out)
+    from .hodge import degrees  # hodge builds on this module
+
+    out = tuple(
+        f for k in range(X.dim + 1) for f, deg in zip(X.faces(k), degrees(X, k)) if deg == 0
+    )
+    return out or ((),)
 
 
 def relabel(X: SimplicialComplex, perm: Sequence[int]) -> SimplicialComplex:

@@ -1,9 +1,13 @@
 """Oriented cochain bases, coboundary matrices, and reduced Laplacian assembly.
 
-All matrices are assembled in exact int64 arithmetic; floating point enters
-only at eigendecomposition (see :mod:`lapgap.spectral`).  The canonical
-orientation of every face is its sorted vertex order, so the boundary
-operator is realized as the plain matrix transpose of the coboundary.
+Every matrix returned is an exact int64 matrix.  :func:`laplacian` composes
+the coboundaries in float64 by BLAS, which is exact here: the coboundary
+entries are 0 and +-1, so every product and every partial sum is an integer
+no larger than the number of faces, far below 2**53.  The product is checked
+to be integral before it is cast to int64; a failed check raises
+:class:`~lapgap.errors.IntegrityError`.  The canonical orientation of every
+face is its sorted vertex order, so the boundary operator is realized as the
+plain matrix transpose of the coboundary.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .complexes import Simplex, SimplicialComplex, degree, simplex
-from .errors import InputError, SizeLimitError
+from .errors import InputError, IntegrityError, SizeLimitError
 
 MAX_DENSE_BASIS = 5000
 
@@ -118,16 +122,33 @@ def coboundary_matrix(X: SimplicialComplex, k: int) -> OperatorMatrix:
     return OperatorMatrix(rows, cols, mat)
 
 
+def _stacked_coboundaries(X: SimplicialComplex, k: int) -> tuple[OrientedBasis, np.ndarray]:
+    """The k-face basis and the float64 matrix [delta_k ; delta_{k-1}^T],
+    whose Gram matrix is L_k."""
+    up = coboundary_matrix(X, k)
+    blocks = [up.mat]
+    if k >= 0:
+        blocks.append(coboundary_matrix(X, k - 1).mat.T)
+    return up.cols, np.concatenate(blocks, dtype=np.float64)
+
+
 def laplacian(X: SimplicialComplex, k: int) -> OperatorMatrix:
-    """Reduced k-Laplacian assembled by composing coboundaries and transposes."""
+    """Reduced k-Laplacian assembled by composing coboundaries and transposes.
+
+    L_k = delta_k^T delta_k + delta_{k-1} delta_{k-1}^T is computed as one
+    float64 Gram product C^T C of the stacked coboundaries, then checked
+    integral and cast to int64 (see the module docstring for why this is
+    exact).
+    """
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
-    up = coboundary_matrix(X, k)
-    mat = up.mat.T @ up.mat
-    if k >= 0:
-        down = coboundary_matrix(X, k - 1)
-        mat = mat + down.mat @ down.mat.T
-    return OperatorMatrix(up.cols, up.cols, mat)
+    basis, stacked = _stacked_coboundaries(X, k)
+    gram = stacked.T @ stacked
+    del stacked  # free the coboundaries before the cast adds an int64 copy
+    mat = gram.astype(np.int64)
+    if not np.array_equal(mat, gram):
+        raise IntegrityError(f"k={k}: the float64 Laplacian product is not integral")
+    return OperatorMatrix(basis, basis, mat)
 
 
 def _shared_facet_pairs(
@@ -218,6 +239,8 @@ class BochnerSplit:
 
 def bochner_split(X: SimplicialComplex, k: int) -> BochnerSplit:
     """Split the k-Laplacian into a degree diagonal plus a signed-graph Laplacian."""
+    from . import hodge  # hodge builds on this module
+
     if not 0 <= k <= X.dim:
         raise InputError(f"k={k} outside 0..{X.dim}; the split needs k >= 0")
     basis = oriented_basis(X, k)
@@ -240,10 +263,7 @@ def bochner_split(X: SimplicialComplex, k: int) -> BochnerSplit:
         H[j, e] = sj
     K = H @ H.T
 
-    diag = np.zeros(m, dtype=np.int64)
-    for i, s in enumerate(basis.simplices):
-        facet_deg = sum(degree(X, s[:d] + s[d + 1 :]) for d in range(len(s)))
-        diag[i] = 2 * (k + 1) + (k + 2) * degree(X, s) - facet_deg
+    diag = 2 * (k + 1) + (k + 2) * hodge.degrees(X, k) - hodge.facet_degree_sums(X, k)
     D = np.diag(diag)
 
     return BochnerSplit(
@@ -264,14 +284,15 @@ def offdiag_abs_row_sum(
     sum(deg(tau) over facets tau of sigma) - (k+1)(deg(sigma)+1).
     The two must agree for every face.
     """
+    from . import hodge  # hodge builds on this module
+
     if k < 0:
         raise InputError("row sums need k >= 0")
     s = simplex(sigma)
     if s not in X or len(s) != k + 1:
         raise InputError(f"{s} is not a {k}-face of the complex")
-    L = laplacian(X, k)
+    L = hodge.laplacian(X, k)
     i = L.rows.index[s]
     direct = int(np.abs(L.mat[i]).sum() - abs(L.mat[i, i]))
-    facet_deg = sum(degree(X, s[:d] + s[d + 1 :]) for d in range(len(s)))
-    from_degrees = facet_deg - (k + 1) * (degree(X, s) + 1)
+    from_degrees = int(hodge.facet_degree_sums(X, k)[i] - (k + 1) * (hodge.degrees(X, k)[i] + 1))
     return direct, from_degrees

@@ -14,9 +14,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import hodge
 from .complexes import SimplicialComplex
 from .errors import DomainError, InputError, IntegrityError
-from .operators import OperatorMatrix, coboundary_matrix, laplacian
+from .operators import OperatorMatrix, laplacian  # noqa: F401  spectral.laplacian stays importable
 
 DEFAULT_GROUP_TOL = 1e-8
 ZERO_EIG_TOL = 1e-7
@@ -71,8 +72,12 @@ def eigenvalues(M: OperatorMatrix | np.ndarray, tol: float = DEFAULT_GROUP_TOL) 
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size:
-        scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
+        if arr.dtype.kind in "biu":
+            symmetric = np.array_equal(arr, arr.T)  # exact; the only temporary is a boolean mask
+        else:
+            scale = max(1.0, float(np.abs(arr).max()))
+            symmetric = float(np.abs(arr - arr.T).max()) <= 1e-12 * scale
+        if not symmetric:
             raise InputError("matrix is not symmetric")
     vals = np.linalg.eigvalsh(arr.astype(np.float64)) if arr.size else np.zeros(0)
     return Spectrum(tuple(float(v) for v in vals), tol)
@@ -86,10 +91,7 @@ def spectral_gap(X: SimplicialComplex, k: int) -> float:
     """
     if not -1 <= k <= X.dim:
         raise DomainError(f"spectral gap undefined for k={k} (no k-faces)")
-    if k == -1:
-        return float(X.num_vertices)
-    spec = eigenvalues(laplacian(X, k))
-    mu = spec.min()
+    mu = hodge.spectrum(X, k).min()
     if mu < -PSD_TOL:
         raise IntegrityError(f"Laplacian has eigenvalue {mu} < -{PSD_TOL}; not PSD")
     return mu
@@ -147,10 +149,9 @@ def betti(X: SimplicialComplex, k: int, zero_tol: float = ZERO_EIG_TOL) -> int:
     """
     if not -1 <= k <= X.dim:
         raise DomainError(f"betti undefined for k={k} (no k-faces)")
-    numeric = eigenvalues(laplacian(X, k)).count_below(zero_tol)
-    up = coboundary_matrix(X, k)
-    rank_down = rank_mod_p(coboundary_matrix(X, k - 1).mat) if k >= 0 else 0
-    exact = len(X.faces(k)) - rank_mod_p(up.mat) - rank_down
+    numeric = hodge.spectrum(X, k).count_below(zero_tol)
+    rank_down = hodge.coboundary_rank(X, k - 1) if k >= 0 else 0
+    exact = len(X.faces(k)) - hodge.coboundary_rank(X, k) - rank_down
     if numeric != exact:
         raise IntegrityError(
             f"betti mismatch at k={k}: kernel count {numeric} vs field rank {exact}"
@@ -160,10 +161,7 @@ def betti(X: SimplicialComplex, k: int, zero_tol: float = ZERO_EIG_TOL) -> int:
 
 def spectrum_table(X: SimplicialComplex) -> dict[int, Spectrum]:
     """Spectra of all Laplacians, keyed by dimension -1..dim."""
-    table: dict[int, Spectrum] = {-1: Spectrum((float(X.num_vertices),))}
-    for k in range(0, X.dim + 1):
-        table[k] = eigenvalues(laplacian(X, k))
-    return table
+    return {k: hodge.spectrum(X, k) for k in range(-1, X.dim + 1)}
 
 
 def join_spectrum(
@@ -231,13 +229,9 @@ class SpectralProfile:
 def spectral_profile(X: SimplicialComplex, zero_tol: float = ZERO_EIG_TOL) -> SpectralProfile:
     rows = []
     for k in range(-1, X.dim + 1):
-        spec = (
-            Spectrum((float(X.num_vertices),))
-            if k == -1
-            else eigenvalues(laplacian(X, k))
-        )
+        spec = hodge.spectrum(X, k)
         mu = spec.min()
-        if k >= 0 and mu < -PSD_TOL:
+        if mu < -PSD_TOL:
             raise IntegrityError(f"Laplacian at k={k} has eigenvalue {mu}; not PSD")
         rows.append(ProfileRow(k=k, gap=mu, betti=betti(X, k, zero_tol), spectrum=spec))
     return SpectralProfile(n=X.n, dim=X.dim, rows=tuple(rows))

@@ -111,6 +111,13 @@ def test_bound_assume_d(capsys):
     assert code == 2 and "contradicts" in err
 
 
+def test_tol_is_refused_where_nothing_reads_it(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "Z(1,2,1)", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "gap", "file(missing.txt)")
     assert code == 2 and "input error" in err

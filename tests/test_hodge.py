@@ -1,0 +1,90 @@
+"""The per-complex Hodge context against the independent reference routes."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import lapgap as lg
+from lapgap import hodge, operators, spectral
+from lapgap.errors import IntegrityError
+
+
+def fresh(X: lg.SimplicialComplex) -> lg.SimplicialComplex:
+    """An equal complex with an empty context."""
+    return lg.SimplicialComplex(X.n, X.all_faces())
+
+
+def test_context_laplacian_matches_both_routes(small_corpus):
+    for X in small_corpus:
+        for k in range(-1, X.dim + 1):
+            L = hodge.laplacian(X, k).mat
+            up = lg.coboundary_matrix(X, k).mat
+            composed = up.T @ up
+            if k >= 0:
+                down = lg.coboundary_matrix(X, k - 1).mat
+                composed = composed + down @ down.T
+                assert np.array_equal(L, lg.laplacian_entrywise(X, k).mat)
+            assert composed.dtype == np.int64 and L.dtype == np.int64
+            assert np.array_equal(L, composed)
+
+
+def test_context_degrees_match_degree(small_corpus):
+    for X in small_corpus:
+        for k in range(-1, X.dim + 1):
+            faces = X.faces(k)
+            assert hodge.degrees(X, k).tolist() == [lg.degree(X, s) for s in faces]
+            if k >= 0:
+                sums = [sum(lg.degree(X, s[:i] + s[i + 1 :]) for i in range(k + 1)) for s in faces]
+                assert hodge.facet_degree_sums(X, k).tolist() == sums
+
+
+def test_profiles_assemble_and_solve_each_laplacian_once(small_corpus, monkeypatch):
+    assembled: Counter = Counter()
+    solved: Counter = Counter()
+    laplacian, eigenvalues = operators.laplacian, spectral.eigenvalues
+
+    def counting_laplacian(X, k):
+        assembled[k] += 1
+        return laplacian(X, k)
+
+    def counting_eigenvalues(M, *args, **kwargs):
+        solved[M.rows.k] += 1
+        return eigenvalues(M, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "laplacian", counting_laplacian)
+    monkeypatch.setattr(spectral, "eigenvalues", counting_eigenvalues)
+    for X in small_corpus:
+        X = fresh(X)
+        assembled.clear()
+        solved.clear()
+        lg.bound_profile(X)
+        lg.spectral_profile(X)
+        for calls in (assembled, solved):
+            assert set(range(X.dim + 1)) <= set(calls) <= set(range(-1, X.dim + 1))
+            assert max(calls.values(), default=1) == 1
+
+
+def test_non_integral_product_raises(monkeypatch):
+    coboundary = operators.coboundary_matrix
+
+    def halved(X, k):
+        M = coboundary(X, k)
+        return operators.OperatorMatrix(M.rows, M.cols, M.mat * 0.5)
+
+    monkeypatch.setattr(operators, "coboundary_matrix", halved)
+    with pytest.raises(IntegrityError):
+        lg.laplacian(lg.skeleton(2, 1), 1)
+
+
+def test_context_dies_with_its_complex():
+    X = fresh(lg.skeleton(3, 1))
+    assert X._hodge is None
+    lg.spectral_gap(X, 1)
+    assert isinstance(X._hodge, hodge.HodgeContext)
+    Y = fresh(X)
+    assert Y == X and hash(Y) == hash(X) and Y._hodge is None
+    with pytest.raises(ValueError):
+        hodge.laplacian(X, 1).mat[0, 0] = 0  # cached arrays are read-only

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hodge
-from .complexes import Simplex, SimplicialComplex, degree, min_degree, missing_faces, simplex
+from .complexes import Simplex, SimplicialComplex, degree, min_degree, simplex
 from .errors import DomainError, InputError, IntegrityError
 from .operators import OperatorMatrix
 from .spectral import betti, spectral_gap
@@ -64,7 +64,7 @@ def gershgorin_from_degrees(X: SimplicialComplex, k: int) -> int:
 def effective_missing_dim(X: SimplicialComplex) -> tuple[int, bool]:
     """(d, used_convention): maximal missing-face dimension, or 0 for a
     complete complex (flagged, since no missing face exists there)."""
-    h = missing_faces(X).h
+    h = hodge.missing_faces(X).h
     if h is None:
         return 0, True
     return h, False

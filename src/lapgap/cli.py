@@ -164,13 +164,17 @@ def _k_list(X: cx.SimplicialComplex, kflag: str) -> list[int]:
     return [k]
 
 
+def _one_k(X: cx.SimplicialComplex, kflag: str, what: str) -> int:
+    if kflag == "all":
+        raise InputError(f"{what} needs a specific --k")
+    return _k_list(X, kflag)[0]
+
+
 def _maybe_dump(X: cx.SimplicialComplex, args) -> None:
     path = getattr(args, "dump_matrix", None)
     if not path:
         return
-    if args.k == "all":
-        raise InputError("--dump-matrix needs a specific --k")
-    L = hodge.laplacian(X, int(args.k))
+    L = hodge.laplacian(X, _one_k(X, args.k, "--dump-matrix"))
     with open(path, "w", encoding="utf-8") as fh:
         L.dump(fh)
 
@@ -230,7 +234,7 @@ def _cmd_betti(args, out) -> int:
 
 def _cmd_missing(args, out) -> int:
     X = parse_constructor(args.expr)
-    report = cx.missing_faces(X)
+    report = hodge.missing_faces(X)
     _emit(
         {"n": X.n, "h": report.h, "missing": [list(f) for f in report.missing]},
         args.format,
@@ -284,9 +288,8 @@ def _cmd_verify_z(args, out) -> int:
 
 def _cmd_equality(args, out) -> int:
     X = parse_constructor(args.expr)
-    if args.k == "all":
-        raise InputError("equality check needs a specific --k")
-    verdict = extremal.equality_case_check(X, int(args.k), tol=args.tol)
+    k = _one_k(X, args.k, "equality check")
+    verdict = extremal.equality_case_check(X, k, tol=args.tol)
     _emit(
         {
             "k": verdict.k,
@@ -341,9 +344,7 @@ def _cmd_probe(args, out) -> int:
 
 def _cmd_dump_matrix(args, out) -> int:
     X = parse_constructor(args.expr)
-    if args.k == "all":
-        raise InputError("dump-matrix needs a specific --k")
-    k = int(args.k)
+    k = _one_k(X, args.k, "dump-matrix")
     if args.operator == "laplacian":
         M = operators.laplacian(X, k)
     else:

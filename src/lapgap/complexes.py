@@ -11,12 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, InputError, SizeLimitError
+from .errors import DomainError, InputError
 
 Simplex = tuple[int, ...]
-
-# missing-face search enumerates all 2^n vertex subsets
-_MAX_MISSING_SEARCH = 20
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -43,11 +40,11 @@ class SimplicialComplex:
     ambient ids of the parent complex.
 
     ``_hodge`` holds the complex's :class:`~lapgap.hodge.HodgeContext`,
-    created on first use: degree vectors, Laplacians, spectra and ranks,
-    each computed once and freed with the complex.  Two threads that fill
-    the same entry at once both compute it and one result wins; the results
-    are equal, so the race is benign.  The context takes no part in
-    equality or hashing.
+    created on first use: the missing-face report, degree vectors,
+    Laplacians, spectra and ranks, each computed once and freed with the
+    complex.  Two threads that fill the same entry at once both compute it
+    and one result wins; the results are equal, so the race is benign.  The
+    context takes no part in equality or hashing.
     """
 
     __slots__ = ("n", "_by_dim", "_faces", "_dim", "_hodge")
@@ -259,17 +256,22 @@ class MissingFaceReport:
 
 
 def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
-    """All minimal non-faces among subsets of {0..n-1}, by brute force."""
-    if X.n > _MAX_MISSING_SEARCH:
-        raise SizeLimitError(
-            f"missing-face search enumerates 2^n subsets; n={X.n} exceeds {_MAX_MISSING_SEARCH}"
-        )
+    """All minimal non-faces among subsets of {0..n-1}, ordered by (size, lex).
+
+    Every proper subset of a minimal non-face sigma is a face, so sigma is
+    tau + (v,) for the face tau = sigma without its largest vertex v.  The
+    search therefore extends each face tau by each larger id v and keeps the
+    candidate when it is not a face but its other facets are: the work grows
+    with the number of faces times n, not with 2^n.  Ids of the ambient range
+    that are not vertices (as in subcomplexes from :func:`link` and
+    :func:`induced`) come out as missing singletons.
+    """
+    faces = X._faces
     out: list[Simplex] = []
-    for size in range(1, X.n + 1):
-        for c in combinations(range(X.n), size):
-            if c in X:
-                continue
-            if all(c[:i] + c[i + 1 :] in X for i in range(size)):
+    for tau in X.all_faces():
+        for v in range(tau[-1] + 1 if tau else 0, X.n):
+            c = tau + (v,)
+            if c not in faces and all(c[:i] + c[i + 1 :] in faces for i in range(len(tau))):
                 out.append(c)
     out.sort(key=lambda f: (len(f), f))
     h = max((len(f) - 1 for f in out), default=None)
@@ -279,21 +281,35 @@ def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
 def from_missing_faces(n: int, missing: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Complex of all subsets of {0..n-1} that contain no given missing face.
 
-    Inverse of :func:`missing_faces` when ``missing`` is an antichain.
+    Inverse of :func:`missing_faces` when ``missing`` is an antichain; any
+    other family (duplicates, a face and its superset) gives the complex of
+    the subsets that avoid all of it, and an entry ``()`` leaves only the
+    empty face.  The faces are grown upward from ``()``: a face c takes a
+    vertex v > max(c) unless a given face with largest vertex v lies inside
+    c + (v,), since any given face inside it that misses v would lie in c.
+    The work grows with the size of the result, not with 2^n.
     """
-    if n > 16:
-        raise SizeLimitError(f"reconstruction enumerates 2^n subsets; n={n} too large")
     mins = [simplex(f) for f in missing]
     for f in mins:
         if f and f[-1] >= n:
             raise InputError(f"missing face {f} references vertex >= n={n}")
-    msets = [frozenset(f) for f in mins]
-    faces = []
-    for size in range(n + 1):
-        for c in combinations(range(n), size):
-            cset = set(c)
-            if not any(m <= cset for m in msets):
-                faces.append(c)
+    if () in mins:
+        return SimplicialComplex(n, ())
+    # bitmasks of the given faces, by their largest vertex
+    by_top: list[list[int]] = [[] for _ in range(n)]
+    for f in mins:
+        by_top[f[-1]].append(sum(1 << v for v in f))
+    faces: list[Simplex] = [()]
+    level: list[tuple[Simplex, int]] = [((), 0)]
+    while level:
+        nxt = []
+        for c, mask in level:
+            for v in range(c[-1] + 1 if c else 0, n):
+                grown = mask | 1 << v
+                if all(m & ~grown for m in by_top[v]):
+                    nxt.append((c + (v,), grown))
+        faces.extend(c for c, _ in nxt)
+        level = nxt
     return SimplicialComplex(n, faces)
 
 

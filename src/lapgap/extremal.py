@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import hodge
 from .complexes import (
     Simplex,
     SimplicialComplex,
@@ -26,7 +27,6 @@ from .complexes import (
     full_simplex,
     join,
     min_degree,
-    missing_faces,
     skeleton,
 )
 from .errors import InputError, IntegrityError, SizeLimitError
@@ -207,7 +207,7 @@ def equality_case_check(X: SimplicialComplex, k: int, tol: float = 1e-7) -> Equa
     Raises IntegrityError if the equality holds but no isomorphism to the
     canonical complex exists; that would falsify the characterization.
     """
-    report = missing_faces(X)
+    report = hodge.missing_faces(X)
     if report.h is not None and (
         report.h > 1 or any(len(f) != 2 for f in report.missing)
     ):

@@ -1,14 +1,16 @@
 """One lazily filled Hodge context per complex.
 
-A complex is immutable, so its facet tables, degree vectors, Laplacians,
-spectra and coboundary ranks can each be computed once and kept with it.
+A complex is immutable, so its missing faces, facet tables, degree
+vectors, Laplacians, spectra and coboundary ranks can each be computed
+once and kept with it.
 The context lives in the complex's ``_hodge`` slot and dies with it; no
 cache exists at module level.  Every entry is filled on first use.
 
-The primitives stay pure: the context calls ``operators.laplacian``,
-``operators.coboundary_matrix``, ``spectral.eigenvalues`` and
-``spectral.rank_mod_p`` through their modules, so a wrapper installed on
-those module attributes sees every assembly, eigensolve and rank.
+The primitives stay pure: the context calls ``complexes.missing_faces``,
+``operators.laplacian``, ``operators.coboundary_matrix``,
+``spectral.eigenvalues`` and ``spectral.rank_mod_p`` through their
+modules, so a wrapper installed on those module attributes sees every
+search, assembly, eigensolve and rank.
 Cached arrays are read-only.
 """
 
@@ -16,16 +18,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import operators, spectral
-from .complexes import SimplicialComplex
+from . import complexes, operators, spectral
+from .complexes import MissingFaceReport, SimplicialComplex
 
 
 class HodgeContext:
-    """Per-dimension caches of one complex, keyed by k."""
+    """The missing-face report and per-dimension caches, keyed by k, of one complex."""
 
-    __slots__ = ("facet_index", "degrees", "facet_degree_sums", "laplacians", "spectra", "ranks")
+    __slots__ = (
+        "missing", "facet_index", "degrees", "facet_degree_sums", "laplacians", "spectra", "ranks"
+    )
 
     def __init__(self) -> None:
+        self.missing: MissingFaceReport | None = None
         self.facet_index: dict[int, np.ndarray] = {}
         self.degrees: dict[int, np.ndarray] = {}
         self.facet_degree_sums: dict[int, np.ndarray] = {}
@@ -45,6 +50,14 @@ def context(X: SimplicialComplex) -> HodgeContext:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
+    """The minimal non-faces of X, searched once per complex."""
+    ctx = context(X)
+    if ctx.missing is None:
+        ctx.missing = complexes.missing_faces(X)
+    return ctx.missing
 
 
 def facet_index(X: SimplicialComplex, k: int) -> np.ndarray:

@@ -108,17 +108,22 @@ def sign(sigma: Sequence[int], tau: Sequence[int]) -> int:
 
 
 def coboundary_matrix(X: SimplicialComplex, k: int) -> OperatorMatrix:
-    """Signed incidence matrix from k-faces (columns) to (k+1)-faces (rows)."""
+    """Signed incidence matrix from k-faces (columns) to (k+1)-faces (rows).
+
+    Row i holds (-1)**j in the column of the i-th (k+1)-face with its j-th
+    vertex dropped, filled in one assignment from the facet-index table.
+    """
+    from . import hodge  # hodge builds on this module
+
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
     rows = oriented_basis(X, k + 1)
     cols = oriented_basis(X, k)
     _check_cap(rows, cols)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for i, s in enumerate(rows.simplices):
-        for drop in range(len(s)):
-            tau = s[:drop] + s[drop + 1 :]
-            mat[i, cols.index[tau]] = -1 if drop & 1 else 1
+    if len(rows):
+        signs = np.where(np.arange(k + 2) % 2, -1, 1)
+        mat[np.arange(len(rows))[:, None], hodge.facet_index(X, k + 1)] = signs
     return OperatorMatrix(rows, cols, mat)
 
 

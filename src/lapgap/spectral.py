@@ -116,25 +116,29 @@ def skeleton_spectrum(n: int, k: int, i: int) -> Spectrum:
 
 
 def rank_mod_p(mat: np.ndarray, p: int = RANK_PRIME) -> int:
-    """Exact rank of an integer matrix over the field with p elements."""
+    """Exact rank of an integer matrix over the field with p elements.
+
+    Gaussian elimination on the trailing submatrix: once column c holds
+    its pivot, rows from the pivot row down are zero left of c, so each
+    step touches only ``a[r:, c:]``.  Entries stay below p < 2**31, so
+    every product fits in int64.
+    """
     a = np.asarray(mat, dtype=np.int64) % p
     rows, cols = a.shape
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
+        nonzero = np.flatnonzero(a[r:, c]) + r
+        if not nonzero.size:
             continue
+        piv = nonzero[0]
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
+            a[[r, piv], c:] = a[[piv, r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        # the swap moved the old row r, zero in column c, to row piv: the
+        # other nonzeros are the rows left to clear
+        idx = nonzero[1:]
+        if idx.size:
+            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
         r += 1
         if r == rows:
             break

@@ -118,6 +118,23 @@ def test_tol_is_refused_where_nothing_reads_it(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("equality", "Z(1,2,1)", "--k", "foo"),
+        ("spectrum", "skeleton(2,1)", "--k", "foo", "--dump-matrix", "x.txt"),
+        ("dump-matrix", "skeleton(2,1)", "--k", "foo"),
+    ],
+)
+def test_non_integer_k_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "gap", "file(missing.txt)")
     assert code == 2 and "input error" in err

@@ -34,6 +34,18 @@ def brute_missing(X):
     return sorted(out, key=lambda f: (len(f), f))
 
 
+def brute_from_missing(n, missing):
+    """Oracle: every subset of {0..n-1} that contains no given face."""
+    msets = [frozenset(f) for f in missing]
+    faces = [
+        c
+        for size in range(n + 1)
+        for c in combinations(range(n), size)
+        if not any(m <= set(c) for m in msets)
+    ]
+    return lg.SimplicialComplex(n, faces)
+
+
 # --- simplex canonicalization -------------------------------------------------
 
 
@@ -268,6 +280,72 @@ def test_missing_faces_examples():
 def test_missing_faces_match_brute_force(small_corpus):
     for X in small_corpus[:30]:
         assert list(lg.missing_faces(X).missing) == brute_missing(X)
+
+
+def test_missing_faces_of_subcomplexes_list_left_out_ids():
+    X = c5()
+    assert lg.missing_faces(lg.induced(X, [0, 1, 2])).missing == ((3,), (4,), (0, 2))
+    # the link of a vertex of C5 is its two neighbours, with no edge between them
+    assert lg.missing_faces(lg.link(X, [0])).missing == ((0,), (2,), (3,), (1, 4))
+    assert lg.missing_faces(lg.induced(X, ())).missing == tuple((v,) for v in range(5))
+
+
+@st.composite
+def complexes_up_to_ten(draw):
+    """Facet closures on up to 10 ids, half of them cut down to a link or
+    an induced subcomplex that leaves some ids out."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    vertex_sets = st.sets(st.integers(min_value=0, max_value=n - 1), max_size=min(n, 6))
+    X = lg.from_facets(n, draw(st.lists(vertex_sets, max_size=8)))
+    cut = draw(st.sampled_from(("none", "link", "induced")))
+    if cut == "link":
+        X = lg.link(X, draw(st.sampled_from(sorted(X.all_faces()))))
+    elif cut == "induced":
+        X = lg.induced(X, draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    return X
+
+
+@settings(max_examples=80, deadline=None)
+@given(X=complexes_up_to_ten())
+def test_missing_faces_match_brute_force_up_to_ten(X):
+    report = lg.missing_faces(X)
+    assert list(report.missing) == brute_missing(X)
+    assert report.h == max((len(f) - 1 for f in report.missing), default=None)
+    assert lg.from_missing_faces(X.n, report.missing) == X
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=9), data=st.data())
+def test_from_missing_faces_matches_brute_force(n, data):
+    """Any family: antichains, nested faces, duplicates and the empty face."""
+    family = data.draw(
+        st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=4), max_size=8)
+    )
+    family += data.draw(st.lists(st.sampled_from(family), max_size=3)) if family else []
+    assert lg.from_missing_faces(n, family) == brute_from_missing(n, family)
+
+
+def test_from_missing_faces_edge_inputs():
+    antichain = [(0, 1), (1, 2, 3)]
+    nested = antichain + [(0, 1, 2), (1, 2, 3, 4)]
+    doubled = antichain + antichain
+    for family in (antichain, nested, doubled):
+        assert lg.from_missing_faces(5, family) == brute_from_missing(5, antichain)
+    only_empty = lg.from_missing_faces(4, [(1, 2), ()])
+    assert only_empty == brute_from_missing(4, [()]) and only_empty.num_faces == 1
+    with pytest.raises(InputError):
+        lg.from_missing_faces(3, [(1, 3)])
+
+
+@pytest.mark.parametrize("n", [14, 18])
+def test_reconstruction_roundtrip_past_the_old_caps(n):
+    rng = random.Random(n)
+    edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+    facets = [rng.sample(range(n), rng.randint(2, 6)) for _ in range(3 * n)]
+    for X in (lg.clique_complex(n, edges), lg.from_facets(n, facets)):
+        report = lg.missing_faces(X)
+        assert report.missing and all(f not in X for f in report.missing)
+        assert lg.from_missing_faces(n, report.missing) == X
 
 
 def test_reconstruction_roundtrip(small_corpus):

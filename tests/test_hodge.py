@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lapgap as lg
-from lapgap import hodge, operators, spectral
+from lapgap import complexes, hodge, operators, spectral
 from lapgap.errors import IntegrityError
 
 
@@ -65,6 +65,26 @@ def test_profiles_assemble_and_solve_each_laplacian_once(small_corpus, monkeypat
         for calls in (assembled, solved):
             assert set(range(X.dim + 1)) <= set(calls) <= set(range(-1, X.dim + 1))
             assert max(calls.values(), default=1) == 1
+
+
+def test_missing_faces_searched_once_per_complex(small_corpus, monkeypatch):
+    searched = []
+    search = complexes.missing_faces
+
+    def counting_search(X):
+        searched.append(X)
+        return search(X)
+
+    monkeypatch.setattr(complexes, "missing_faces", counting_search)
+    for X in small_corpus[:20]:
+        X = fresh(X)
+        searched.clear()
+        lg.bound_profile(X)
+        lg.spectral_gap_bound(X, X.dim)
+        lg.vanishing_threshold(X)
+        lg.degree_sum_check(X, X.faces(0)[0])
+        assert hodge.missing_faces(X) == search(X)
+        assert len(searched) == 1
 
 
 def test_non_integral_product_raises(monkeypatch):

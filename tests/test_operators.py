@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_coboundary_triangle_boundary():
     assert np.array_equal(M.mat, expect)
     assert M.entry((0, 1), (1,)) == 1
     assert M.entry((0, 1), (0,)) == -1
+
+
+def test_coboundary_matches_per_entry_signs(small_corpus):
+    for X in small_corpus:
+        for k in range(-1, X.dim + 1):
+            M = lg.coboundary_matrix(X, k)
+            expect = np.zeros(M.shape, dtype=np.int64)
+            for i, s in enumerate(M.rows.simplices):
+                for tau in combinations(s, len(s) - 1):
+                    expect[i, M.cols.index[tau]] = lg.sign(s, tau)
+            assert M.mat.dtype == np.int64 and np.array_equal(M.mat, expect)
 
 
 def test_coboundary_out_of_range():

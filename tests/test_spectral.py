@@ -127,6 +127,48 @@ def test_hodge_and_cohomology_vanishing_equivalence(small_corpus):
             assert (b == 0) == (mu > 1e-7)
 
 
+def rank_mod_p_rowwise(mat, p=lg.spectral.RANK_PRIME):
+    """Oracle: elimination over whole rows, the pivot found by a row loop."""
+    a = np.asarray(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = np.nonzero(a[r + 1 :, c])[0]
+        if below.size:
+            idx = below + r + 1
+            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def test_rank_mod_p_matches_rowwise_oracle(small_corpus):
+    for X in small_corpus:
+        for k in range(-1, X.dim):
+            mat = lg.coboundary_matrix(X, k).mat
+            assert lg.rank_mod_p(mat) == rank_mod_p_rowwise(mat)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        rows, cols, inner = (int(v) for v in rng.integers(1, 14, size=3))
+        # a product through `inner` columns has rank at most `inner`
+        M = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
+        M[:, rng.integers(0, cols)] = 0
+        rank = lg.rank_mod_p(M)
+        assert rank == rank_mod_p_rowwise(M) == np.linalg.matrix_rank(M.astype(float))
+        assert rank <= min(rows, cols, inner)
+
+
 def test_rank_mod_p_matches_float_rank():
     rng = random.Random(1)
     for _ in range(25):

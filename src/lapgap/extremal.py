@@ -9,20 +9,20 @@ and ``probe_equality_cases`` searches for equality cases at d >= 2.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, permutations
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import hodge
+from . import hodge, spectral
 from .complexes import (
     Simplex,
     SimplicialComplex,
     facets,
-    from_facets,
     from_missing_faces,
     full_simplex,
     join,
@@ -34,8 +34,10 @@ from .operators import coboundary_matrix
 from .spectral import join_spectrum, skeleton_spectrum, spectral_gap
 
 ISO_VERTEX_CAP = 14
-PROBE_EXHAUSTIVE_CAP = 9
+GRAPH_CODE_CHUNK = 1 << 19  # entries of one candidates-by-permutations code block
+PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selections
 HIT_CONFIRM_TOL = 1e-10
+D2_SCREEN_CHUNK = 2048  # triangle sets per batch; a graph's hits come batch by batch, then by k
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,11 @@ class ZVerifyReport:
         )
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be a finite number >= 0, got {tol}")
+
+
 def verify_z_family(
     d: int, t: int, r: int, tol: float = 1e-8, face_cap: int = 5000
 ) -> ZVerifyReport:
@@ -150,6 +157,7 @@ def verify_z_family(
     the closed forms and of each other.
     """
     params = ZParams(d, t, r)
+    _check_tol(tol)
     if params.total_faces > face_cap:
         raise SizeLimitError(
             f"Z({d},{t},{r}) has {params.total_faces} faces (dimension {params.dim}), "
@@ -207,6 +215,7 @@ def equality_case_check(X: SimplicialComplex, k: int, tol: float = 1e-7) -> Equa
     Raises IntegrityError if the equality holds but no isomorphism to the
     canonical complex exists; that would falsify the characterization.
     """
+    _check_tol(tol)
     report = hodge.missing_faces(X)
     if report.h is not None and (
         report.h > 1 or any(len(f) != 2 for f in report.missing)
@@ -307,50 +316,51 @@ def isomorphic(X: SimplicialComplex, Y: SimplicialComplex) -> dict[int, int] | N
 # graph enumeration up to isomorphism (supports the equality searches)
 
 
-def _graph_invariant(n: int, edges: tuple[tuple[int, int], ...]):
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, w in edges:
-        adj[u].add(w)
-        adj[w].add(u)
-    deg = {v: len(adj[v]) for v in range(n)}
-    profile = sorted(
-        (deg[v], tuple(sorted(deg[u] for u in adj[v]))) for v in range(n)
-    )
-    triangles = sum(
-        1 for t in combinations(range(n), 3)
-        if t[1] in adj[t[0]] and t[2] in adj[t[0]] and t[2] in adj[t[1]]
-    )
-    return (n, len(edges), triangles, tuple(profile))
-
-
-def _graph_complex(n: int, edges: tuple[tuple[int, int], ...]) -> SimplicialComplex:
-    return from_facets(n, edges)
-
-
 @lru_cache(maxsize=None)
 def graphs_up_to_isomorphism(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All graphs on n labeled vertices, one representative per isomorphism class."""
+    """All graphs on n labeled vertices, one representative per isomorphism class.
+
+    The graphs on n vertices are the classes on n-1 vertices, each extended
+    by every neighbourhood of the new vertex n-1 in mask order; the first
+    candidate of each class is kept.  A class is named by its canonical
+    code, the least edge bitmask over all n! relabelings (McKay,
+    "Isomorph-free exhaustive generation", 1998).  The codes come from
+    float64 products of the candidates' edge bits with a (pairs x n!) table
+    of powers of two, in blocks of GRAPH_CODE_CHUNK entries; they are exact
+    because n <= 8 needs at most 28 bits.
+    """
     if n < 1:
         raise InputError("need n >= 1")
     if n > 8:
         raise SizeLimitError("graph enumeration capped at 8 vertices")
     if n == 1:
         return ((),)
-    out: list[tuple[tuple[int, int], ...]] = []
-    buckets: dict[object, list[tuple[tuple[tuple[int, int], ...], SimplicialComplex]]] = {}
     new = n - 1
-    for parent in graphs_up_to_isomorphism(n - 1):
-        for mask in range(1 << new):
-            edges = parent + tuple(
-                (v, new) for v in range(new) if (mask >> v) & 1
-            )
-            key = _graph_invariant(n, edges)
-            bucket = buckets.setdefault(key, [])
-            C = _graph_complex(n, edges)
-            if any(isomorphic(C, other) is not None for _, other in bucket):
-                continue
-            bucket.append((edges, C))
-            out.append(edges)
+    parents = graphs_up_to_isomorphism(new)
+    pairs = np.array(list(combinations(range(n), 2)))
+    bit = np.zeros((n, n), dtype=np.intp)
+    bit[pairs[:, 0], pairs[:, 1]] = bit[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+
+    parent_bits = np.zeros((len(parents), len(pairs)))
+    for row, edges in zip(parent_bits, parents):
+        row[[bit[u, w] for u, w in edges]] = 1.0
+    masks = np.arange(1 << new)
+    new_bits = np.zeros((len(masks), len(pairs)))
+    new_bits[:, bit[new, :new]] = (masks[:, None] >> np.arange(new)) & 1
+    candidates = (parent_bits[:, None, :] + new_bits[None, :, :]).reshape(-1, len(pairs))
+
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    table = np.ldexp(1.0, bit[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]).T
+    step = max(1, GRAPH_CODE_CHUNK // len(perms))
+    codes = np.concatenate([
+        (candidates[i : i + step] @ table).min(axis=1)
+        for i in range(0, len(candidates), step)
+    ])
+    _, first = np.unique(codes, return_index=True)
+    out = []
+    for i in np.sort(first):
+        p, mask = divmod(int(i), len(masks))
+        out.append(parents[p] + tuple((v, new) for v in range(new) if (mask >> v) & 1))
     return tuple(out)
 
 
@@ -490,104 +500,159 @@ def _probe_general(
     return hits, examined, True
 
 
+class _D2Tables:
+    """The exact integer screen of the d=2 probe on n vertices.
+
+    Columns are the vertex sets of the cardinalities the targets read: k+1
+    (the k-faces) and k+2.  A complex is a 0/1 row of live columns, its
+    faces.  ``weights`` turns a row into the degree row values
+    (k+2)*deg + 2(k+1) - facet sum of every k-face, target by target, in
+    one product: deg counts the live (k+1)-faces above, and the facet sum
+    counts, through |delta_{k-1}| |delta_{k-1}|^T, the live k-faces that
+    share a facet.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.targets = _candidate_targets(n, 2)
+        full = full_simplex(n - 1)
+        cards = sorted({c for k, _ in self.targets for c in (k + 1, k + 2)})
+        self.faces: list[Simplex] = []
+        self.cols: dict[int, slice] = {}
+        for c in cards:
+            self.cols[c] = slice(len(self.faces), len(self.faces) + len(full.faces(c - 1)))
+            self.faces += full.faces(c - 1)
+        self.cob = {
+            j: coboundary_matrix(full, j).mat for k, _ in self.targets for j in (k - 1, k)
+        }
+        blocks = []
+        for k, _ in self.targets:
+            down = np.abs(self.cob[k - 1])
+            block = np.zeros((len(self.faces), down.shape[0]))
+            block[self.cols[k + 2]] = (k + 2) * np.abs(self.cob[k])
+            block[self.cols[k + 1]] = -(down @ down.T)
+            blocks.append(block)
+        self.weights = np.hstack(blocks)
+        self.offsets = np.concatenate(
+            [np.full(b.shape[1], 2 * (k + 1)) for b, (k, _) in zip(blocks, self.targets)]
+        )
+        self.k_faces = np.concatenate(
+            [np.arange(len(self.faces))[self.cols[k + 1]] for k, _ in self.targets]
+        )
+        self.starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+        self._singular: dict[tuple[int, bytes], bool] = {}
+
+    def min_rows(self, live: np.ndarray) -> np.ndarray:
+        """(complexes, targets): the least degree row value over the k-faces
+        of each complex, which is ``bounds.gershgorin_from_degrees``; inf
+        where the complex has no k-face."""
+        rows = live.astype(np.float64) @ self.weights + self.offsets
+        rows[~live[:, self.k_faces]] = np.inf
+        return np.minimum.reduceat(rows, self.starts, axis=1)
+
+    def singular(self, live: np.ndarray, k: int, target: int) -> bool:
+        """Whether L_k - target*I of the complex with live columns ``live`` is
+        singular over the prime field; full rank mod p proves it
+        nonsingular over Q.  The matrix depends only on the live k- and
+        (k+1)-faces, so each such pair is decided once."""
+        key = (k, live[self.cols[k + 1].start : self.cols[k + 2].stop].tobytes())
+        if key not in self._singular:
+            faces = live[self.cols[k + 1]]
+            down = self.cob[k - 1][faces]
+            up = self.cob[k][live[self.cols[k + 2]]][:, faces]
+            shifted = down @ down.T + up.T @ up - target * np.eye(len(down), dtype=np.int64)
+            self._singular[key] = spectral.rank_mod_p(shifted) < len(shifted)
+        return self._singular[key]
+
+
+class _D2Graph:
+    """The complexes of one graph in the d=2 probe.
+
+    The value T, 1 <= T < 2**len(tris), names the complex whose missing
+    faces are the graph's non-edges and each triangle tris[i] with bit i of
+    T set.  Its faces are the cliques of the graph that hold no missing
+    triangle.
+    """
+
+    def __init__(self, tables: _D2Tables, edges: Sequence[tuple[int, int]]) -> None:
+        self.eset = {tuple(sorted(e)) for e in edges}
+        self.tris = [
+            t for t in combinations(range(tables.n), 3)
+            if all(p in self.eset for p in combinations(t, 2))
+        ]
+        self.clique = np.array(
+            [all(p in self.eset for p in combinations(f, 2)) for f in tables.faces]
+        )
+        self.tri_bits = np.array(
+            [sum(1 << i for i, t in enumerate(self.tris) if set(t) <= set(f)) for f in tables.faces],
+            dtype=np.uint64,
+        )
+
+    def live(self, T: np.ndarray) -> np.ndarray:
+        """(len(T), columns): which columns are faces of each complex."""
+        return self.clique & ((T[:, None] & self.tri_bits) == 0)
+
+    def missing_triangles(self, T: int) -> list[Simplex]:
+        return [t for i, t in enumerate(self.tris) if (T >> i) & 1]
+
+
 def _probe_fast_d2(
     n: int, budget: int | None, tol: float
 ) -> tuple[list[ProbeHit], int, bool]:
-    """Exhaustive d=2 search, batched over the missing-triangle subsets.
+    """Exhaustive d=2 search over the missing-triangle sets of every graph.
 
-    The batch computes candidate gaps from masked ambient coboundary blocks
-    and acts only as a filter; every candidate is re-verified from a freshly
-    built complex at the confirmation tolerance.
+    By the paper's bound, target <= degree row bound == Gershgorin <= mu_k.
+    The screen computes the row bound exactly, D2_SCREEN_CHUNK triangle
+    sets at a time.  A row bound above the target rules the pair out; one
+    below it contradicts the bound and raises IntegrityError.  At equality
+    L_k - target*I is diagonally dominant, hence PSD, so mu_k == target
+    exactly when it is singular, and a full rank mod p rules the pair out.
+    Every pair left is re-verified by ``_verify_hit`` from a freshly built
+    complex, batch by batch, then by k, then by T.
     """
-    d = 2
-    targets = _candidate_targets(n, d)
+    tables = _D2Tables(n)
     all_pairs = list(combinations(range(n), 2))
-    triples = list(combinations(range(n), 3))
-    subs = {c: list(combinations(range(n), c)) for c in range(0, n + 1)}
-    full = full_simplex(n - 1)
-    cob = {k: coboundary_matrix(full, k).mat.astype(np.float64) for k in range(-1, n - 1)}
-
-    cards = sorted({c for k, _ in targets for c in (k, k + 1, k + 2)})
-    chunk_size = 2048
-    screen_tol = 1e-5
-
     hits: list[ProbeHit] = []
     examined = 0
     complete = True
 
     for edges in graphs_up_to_isomorphism(n):
-        eset = {tuple(sorted(e)) for e in edges}
-        tris = [t for t in triples if all(p in eset for p in combinations(t, 2))]
-        if not tris:
+        graph = _D2Graph(tables, edges)
+        if not graph.tris:
             continue
-        ntr = len(tris)
-
-        clique_ok: dict[int, np.ndarray] = {}
-        tri_bits: dict[int, np.ndarray] = {}
-        for c in cards:
-            if c > n:
-                clique_ok[c] = np.zeros(0, dtype=bool)
-                tri_bits[c] = np.zeros(0, dtype=np.uint64)
-                continue
-            ok = []
-            bits = []
-            for s in subs[c]:
-                sset = set(s)
-                ok.append(all(p in eset for p in combinations(s, 2)))
-                bits.append(
-                    sum(1 << ti for ti, t in enumerate(tris) if set(t) <= sset)
-                )
-            clique_ok[c] = np.array(ok, dtype=bool)
-            tri_bits[c] = np.array(bits, dtype=np.uint64)
-
-        candidates: list[tuple[int, int, int]] = []  # (T, k, target)
+        found: list[tuple[int, int, int]] = []  # (T, k, target)
         t_val = 1
-        top = 1 << ntr
+        top = 1 << len(graph.tris)
         while t_val < top:
             if budget is not None and examined >= budget:
                 complete = False
                 break
-            count = min(chunk_size, top - t_val)
+            count = min(D2_SCREEN_CHUNK, top - t_val)
             if budget is not None:
                 count = min(count, budget - examined)
             T = np.arange(t_val, t_val + count, dtype=np.uint64)
             t_val += count
             examined += count
 
-            live: dict[int, np.ndarray] = {}
-            for c in cards:
-                if c == 0:
-                    live[c] = np.ones((count, 1), dtype=bool)
-                else:
-                    live[c] = clique_ok[c][None, :] & (
-                        (T[:, None] & tri_bits[c][None, :]) == 0
+            live = graph.live(T)
+            low = tables.min_rows(live)
+            for j, (k, target) in enumerate(tables.targets):
+                below = np.flatnonzero(low[:, j] < target)
+                if below.size:
+                    i = below[0]
+                    raise IntegrityError(
+                        f"degree row bound {low[i, j]:.0f} < target {target} at k={k} on the "
+                        f"graph {list(edges)} with missing triangles "
+                        f"{graph.missing_triangles(int(T[i]))}: the bound is violated"
                     )
-            for k, target in targets:
-                c = k + 1
-                rows_live = live[c]
-                nlive = rows_live.sum(axis=1)
-                sel = np.nonzero(nlive > 0)[0]
-                if sel.size == 0:
-                    continue
-                rmask = rows_live[sel].astype(np.float64)
-                down = cob[k - 1][None, :, :] * rmask[:, :, None]
-                down = down * live[c - 1][sel].astype(np.float64)[:, None, :]
-                L = down @ down.transpose(0, 2, 1)
-                if cob[k].shape[0]:
-                    up = cob[k][None, :, :] * live[c + 1][sel].astype(np.float64)[:, :, None]
-                    up = up * rmask[:, None, :]
-                    L = L + up.transpose(0, 2, 1) @ up
-                w = np.linalg.eigvalsh(L)
-                ndead = (rmask.shape[1] - nlive[sel]).astype(int)
-                mu = w[np.arange(sel.size), ndead]
-                for pos in np.nonzero(np.abs(mu - target) < screen_tol)[0]:
-                    candidates.append((int(T[sel[pos]]), k, target))
+                for i in np.flatnonzero(low[:, j] == target):
+                    if tables.singular(live[i], k, target):
+                        found.append((int(T[i]), k, target))
 
-        nonedges = [p for p in all_pairs if p not in eset]
-        for T_int, k, target in candidates:
-            extra = [tris[ti] for ti in range(ntr) if (T_int >> ti) & 1]
-            X = from_missing_faces(n, list(nonedges) + extra)
-            hit = _verify_hit(X, d, k, target, tol)
+        nonedges = [p for p in all_pairs if p not in graph.eset]
+        for T_int, k, target in found:
+            X = from_missing_faces(n, nonedges + graph.missing_triangles(T_int))
+            hit = _verify_hit(X, 2, k, target, tol)
             if hit is not None:
                 hits.append(hit)
         if not complete:
@@ -649,16 +714,28 @@ def probe_equality_cases(
     Every complex X on n vertices with h(X) = d is tested at each dimension
     where the target (d+1)(k+1) - d*n is attainable; hits are re-verified at
     a tightened tolerance and checked for isomorphism with the canonical
-    join form.  Exhaustive mode covers every isomorphism class; random mode
-    samples ``budget`` complexes deterministically from ``seed``.
+    join form.  Exhaustive mode covers every isomorphism class of graph
+    and every selection of missing faces above it; at d = 2 an exact
+    integer screen (degree row bound, then a rank mod p) picks the pairs
+    to verify.  Without a ``budget`` it refuses, before enumerating, when
+    K_n alone offers more than 2**PROBE_SELECTION_BITS selections.  Random
+    mode samples ``budget`` complexes deterministically from ``seed``.
     """
     if d < 2:
         raise InputError("probe needs d >= 2; the d=1 case is equality_case_check")
     if n < d + 1:
         raise InputError(f"no complex on n={n} vertices has a missing face of dimension {d}")
+    _check_tol(tol)
+    if budget is not None and budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     if mode == "exhaustive":
-        if n > PROBE_EXHAUSTIVE_CAP:
-            raise SizeLimitError(f"exhaustive probe capped at n={PROBE_EXHAUSTIVE_CAP}")
+        bits = sum(math.comb(n, c) for c in range(3, d + 2))
+        if budget is None and bits > PROBE_SELECTION_BITS:
+            raise SizeLimitError(
+                f"an exhaustive probe at d={d}, n={n} walks up to 2^{bits} missing-face "
+                f"selections on K_{n} alone, over 2^{PROBE_SELECTION_BITS}; "
+                "bound it with a budget (--budget)"
+            )
         if d == 2 and n <= 7:
             hits, examined, complete = _probe_fast_d2(n, budget, tol)
         else:

@@ -26,7 +26,7 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 from tracing import GRAPHS  # noqa: E402
 
-PROBE_KEYS = {"3,5 exhaustive"} | {
+PROBE_KEYS = {"2,6 exhaustive", "3,5 exhaustive"} | {
     f"2,7 random budget={workloads.RANDOM_BUDGET} seed={s}" for s in range(3)
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -178,6 +179,44 @@ def test_probe_subcommand(capsys):
         "isomorphic_to_canonical",
         "facets",
     ]
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "bc4708a6ced98361a85e5e5e858a99f28a07c7b3f5900a505e96321c72fb854b"),
+    ("text", "0778fe96c06c6cdd094c4d7189a3e05ea1df5a447f8212244d894b0edb7d3795"),
+], ids=["json", "text"])
+def test_probe_d2_n6_output_is_pinned(capsys, fmt, digest):
+    """The 30 hits of the exhaustive (2,6) probe, in their order, byte for byte."""
+    code, out, err = run(capsys, "probe", "--d", "2", "--n", "6", "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("equality", "Z(1,2,1)", "--k", "2", "--tol", "-1"),
+    ("equality", "Z(1,2,1)", "--k", "2", "--tol", "nan"),
+    ("verify-z", "2", "2", "1", "--tol", "inf"),
+    ("probe", "--d", "2", "--n", "5", "--tol", "-1"),
+    ("probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "-3"),
+])
+def test_bad_tol_and_budget_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("probe", "--d", "2", "--n", "7"),
+    ("probe", "--d", "3", "--n", "6"),
+])
+def test_unbounded_exhaustive_probe_over_the_cap_exits_2_at_once(capsys, monkeypatch, argv):
+    def refuse(n):
+        raise AssertionError("enumerated before the cap was checked")
+
+    monkeypatch.setattr(lg.extremal, "graphs_up_to_isomorphism", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--budget" in err and err.count("\n") == 1
 
 
 def test_dump_matrix_subcommand(capsys, tmp_path):

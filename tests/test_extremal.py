@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import math
 import random
+from functools import lru_cache
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import lapgap as lg
+from lapgap.complexes import facets
 from lapgap.errors import DomainError, InputError, SizeLimitError
-from lapgap.extremal import _probe_fast_d2, _probe_general
+from lapgap.extremal import (
+    _candidate_targets,
+    _D2Graph,
+    _D2Tables,
+    _probe_fast_d2,
+    _probe_general,
+    _verify_hit,
+)
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -213,6 +225,51 @@ def test_isomorphic_cap():
         lg.isomorphic(big, big)
 
 
+# The bucket-and-backtrack enumeration that canonical codes replaced, kept
+# as the oracle for class order and representatives.
+
+
+def _graph_invariant(n, edges):
+    adj = {v: set() for v in range(n)}
+    for u, w in edges:
+        adj[u].add(w)
+        adj[w].add(u)
+    deg = {v: len(adj[v]) for v in range(n)}
+    profile = sorted((deg[v], tuple(sorted(deg[u] for u in adj[v]))) for v in range(n))
+    triangles = sum(
+        1 for t in combinations(range(n), 3)
+        if t[1] in adj[t[0]] and t[2] in adj[t[0]] and t[2] in adj[t[1]]
+    )
+    return (n, len(edges), triangles, tuple(profile))
+
+
+@lru_cache(maxsize=None)
+def graphs_by_isomorphism_search(n):
+    if n == 1:
+        return ((),)
+    out = []
+    buckets = {}
+    new = n - 1
+    for parent in graphs_by_isomorphism_search(n - 1):
+        for mask in range(1 << new):
+            edges = parent + tuple((v, new) for v in range(new) if (mask >> v) & 1)
+            bucket = buckets.setdefault(_graph_invariant(n, edges), [])
+            C = lg.from_facets(n, edges)
+            if any(lg.isomorphic(C, other) is not None for other in bucket):
+                continue
+            bucket.append(C)
+            out.append(edges)
+    return tuple(out)
+
+
+def test_graph_classes_match_the_isomorphism_search():
+    for n in range(1, 7):
+        assert lg.graphs_up_to_isomorphism(n) == graphs_by_isomorphism_search(n), n
+    assert len(lg.graphs_up_to_isomorphism(7)) == 1044
+    with pytest.raises(SizeLimitError):
+        lg.graphs_up_to_isomorphism(9)
+
+
 def test_graphs_up_to_isomorphism_counts():
     assert [len(lg.graphs_up_to_isomorphism(n)) for n in range(1, 7)] == [
         1,
@@ -238,6 +295,40 @@ def test_probe_validation():
         lg.probe_equality_cases(2, 5, mode="guess")
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+def test_bad_tol_is_refused(tol):
+    with pytest.raises(InputError):
+        lg.probe_equality_cases(2, 5, tol=tol)
+    with pytest.raises(InputError):
+        lg.equality_case_check(lg.build_z(1, 2, 1), 2, tol=tol)
+    with pytest.raises(InputError):
+        lg.verify_z_family(2, 2, 1, tol=tol)
+
+
+def test_negative_budget_is_refused():
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(InputError):
+            lg.probe_equality_cases(2, 5, mode=mode, budget=-3)
+
+
+def test_exhaustive_cap_counts_selections_before_enumerating(monkeypatch):
+    # K_n alone offers 2^(sum of C(n, c), c = 3..d+1) selections: 35 bits here
+    def refuse(n):
+        raise AssertionError("enumerated before the cap was checked")
+
+    monkeypatch.setattr(lg.extremal, "graphs_up_to_isomorphism", refuse)
+    for d, n in ((2, 7), (3, 6), (2, 12)):
+        with pytest.raises(SizeLimitError, match="--budget"):
+            lg.probe_equality_cases(d, n)
+    monkeypatch.undo()
+    # 15 and 16 bits: admitted
+    assert lg.probe_equality_cases(3, 5).complete
+    assert lg.probe_equality_cases(4, 5).complete
+    # a budget bounds the walk, so the cap does not apply
+    rep = lg.probe_equality_cases(2, 7, budget=500)
+    assert rep.examined == 500 and not rep.complete
+
+
 def test_probe_exhaustive_n4():
     rep = lg.probe_equality_cases(2, 4)
     assert rep.examined == 20 and rep.complete
@@ -259,6 +350,151 @@ def test_probe_general_path_matches_fast_path():
     hf, ef, cf = _probe_fast_d2(4, None, 1e-7)
     assert eg == ef == 20 and cg and cf
     assert sorted((h.k, h.facets) for h in hg) == sorted((h.k, h.facets) for h in hf)
+
+
+# The batched float screen that the exact integer screen replaced, kept as
+# the oracle for the d=2 probe's hits, count and order.
+
+
+def _float_screen_probe_d2(n, budget, tol):
+    d = 2
+    targets = _candidate_targets(n, d)
+    all_pairs = list(combinations(range(n), 2))
+    triples = list(combinations(range(n), 3))
+    subs = {c: list(combinations(range(n), c)) for c in range(0, n + 1)}
+    full = lg.full_simplex(n - 1)
+    cob = {k: lg.coboundary_matrix(full, k).mat.astype(np.float64) for k in range(-1, n - 1)}
+    cards = sorted({c for k, _ in targets for c in (k, k + 1, k + 2)})
+    chunk_size = 2048
+    screen_tol = 1e-5
+    hits = []
+    examined = 0
+    complete = True
+    for edges in lg.graphs_up_to_isomorphism(n):
+        eset = {tuple(sorted(e)) for e in edges}
+        tris = [t for t in triples if all(p in eset for p in combinations(t, 2))]
+        if not tris:
+            continue
+        ntr = len(tris)
+        clique_ok = {}
+        tri_bits = {}
+        for c in cards:
+            ok = []
+            bits = []
+            for s in subs[c]:
+                ok.append(all(p in eset for p in combinations(s, 2)))
+                bits.append(sum(1 << ti for ti, t in enumerate(tris) if set(t) <= set(s)))
+            clique_ok[c] = np.array(ok, dtype=bool)
+            tri_bits[c] = np.array(bits, dtype=np.uint64)
+        candidates = []
+        t_val = 1
+        top = 1 << ntr
+        while t_val < top:
+            if budget is not None and examined >= budget:
+                complete = False
+                break
+            count = min(chunk_size, top - t_val)
+            if budget is not None:
+                count = min(count, budget - examined)
+            T = np.arange(t_val, t_val + count, dtype=np.uint64)
+            t_val += count
+            examined += count
+            live = {}
+            for c in cards:
+                if c == 0:
+                    live[c] = np.ones((count, 1), dtype=bool)
+                else:
+                    live[c] = clique_ok[c][None, :] & ((T[:, None] & tri_bits[c][None, :]) == 0)
+            for k, target in targets:
+                c = k + 1
+                rows_live = live[c]
+                nlive = rows_live.sum(axis=1)
+                sel = np.nonzero(nlive > 0)[0]
+                if sel.size == 0:
+                    continue
+                rmask = rows_live[sel].astype(np.float64)
+                down = cob[k - 1][None, :, :] * rmask[:, :, None]
+                down = down * live[c - 1][sel].astype(np.float64)[:, None, :]
+                L = down @ down.transpose(0, 2, 1)
+                if cob[k].shape[0]:
+                    up = cob[k][None, :, :] * live[c + 1][sel].astype(np.float64)[:, :, None]
+                    up = up * rmask[:, None, :]
+                    L = L + up.transpose(0, 2, 1) @ up
+                w = np.linalg.eigvalsh(L)
+                ndead = (rmask.shape[1] - nlive[sel]).astype(int)
+                mu = w[np.arange(sel.size), ndead]
+                for pos in np.nonzero(np.abs(mu - target) < screen_tol)[0]:
+                    candidates.append((int(T[sel[pos]]), k, target))
+        nonedges = [p for p in all_pairs if p not in eset]
+        for T_int, k, target in candidates:
+            extra = [tris[ti] for ti in range(ntr) if (T_int >> ti) & 1]
+            X = lg.from_missing_faces(n, list(nonedges) + extra)
+            hit = _verify_hit(X, d, k, target, tol)
+            if hit is not None:
+                hits.append(hit)
+        if not complete:
+            break
+    return hits, examined, complete
+
+
+@pytest.mark.parametrize("n,budget", [(3, None), (4, None), (5, None), (5, 100),
+                                      (6, 3000), (6, 70000), (6, 120000)])
+def test_integer_screen_matches_the_float_screen(n, budget):
+    # the last budget reaches 20 hits of K_6 across many screen batches, so
+    # it checks the order of the hits too
+    assert _probe_fast_d2(n, budget, 1e-7) == _float_screen_probe_d2(n, budget, 1e-7)
+
+
+def _complex(graph, n, T_int):
+    nonedges = [p for p in combinations(range(n), 2) if p not in graph.eset]
+    return lg.from_missing_faces(n, nonedges + graph.missing_triangles(T_int))
+
+
+def test_batched_min_row_is_the_degree_row_bound():
+    tables = _D2Tables(5)
+    for edges in (lg.graphs_up_to_isomorphism(5)[-1], ((0, 1), (0, 2), (1, 2), (1, 3),
+                                                       (2, 3), (2, 4), (3, 4), (0, 4))):
+        graph = _D2Graph(tables, edges)
+        T = np.arange(1, 1 << len(graph.tris), dtype=np.uint64)
+        low = tables.min_rows(graph.live(T))
+        for T_int in T.tolist():
+            X = _complex(graph, 5, T_int)
+            for j, (k, _) in enumerate(tables.targets):
+                expect = lg.gershgorin_from_degrees(X, k) if X.faces(k) else np.inf
+                assert low[T_int - 1, j] == expect, (edges, T_int, k)
+
+
+def _screen_equalities(n, edges, top=None):
+    """(complex, k, target, kept by the rank) for each pair at the screen's equality."""
+    tables = _D2Tables(n)
+    graph = _D2Graph(tables, edges)
+    T = np.arange(1, top or 1 << len(graph.tris), dtype=np.uint64)
+    live = graph.live(T)
+    low = tables.min_rows(live)
+    for j, (k, target) in enumerate(tables.targets):
+        for i in np.flatnonzero(low[:, j] == target):
+            yield (_complex(graph, n, int(T[i])), k, target,
+                   tables.singular(live[i], k, target))
+
+
+def test_rank_keeps_the_hits_and_drops_only_gaps_above_the_target():
+    # n=5: all 10 pairs at equality are hits.  n=6: K_6 minus an edge has
+    # 36 pairs at equality and no hit; the first 4095 triangle sets of K_6
+    # have 14 hits among 609 pairs
+    kept = dropped = 0
+    cases = [(5, edges, None) for edges in lg.graphs_up_to_isomorphism(5)]
+    cases += [(6, lg.graphs_up_to_isomorphism(6)[-2], None),
+              (6, lg.graphs_up_to_isomorphism(6)[-1], 1 << 12)]
+    for n, edges, top in cases:
+        for X, k, target, singular in _screen_equalities(n, edges, top):
+            mu = lg.spectral_gap(X, k)
+            if singular:
+                kept += 1
+                assert abs(mu - target) < 1e-9
+            else:
+                dropped += 1
+                assert mu > target + 1e-6, (facets(X), k)
+    assert (kept, dropped) == (24, 631)
 
 
 def test_probe_general_d3():

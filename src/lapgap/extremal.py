@@ -4,7 +4,8 @@
 skeleton of a d-simplex with a full (r-1)-simplex; its gaps and minimal
 degrees have closed forms that make the degree bound an equality at every
 dimension.  ``equality_case_check`` tests the d = 1 uniqueness statement,
-and ``probe_equality_cases`` searches for equality cases at d >= 2.
+and ``probe_equality_cases`` searches for equality cases at d >= 2, exhaustively
+or by sampling; one exact integer screen picks what an eigensolve confirms.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,14 +31,14 @@ from .complexes import (
     skeleton,
 )
 from .errors import InputError, IntegrityError, SizeLimitError
-from .operators import coboundary_matrix
 from .spectral import join_spectrum, skeleton_spectrum, spectral_gap
 
 ISO_VERTEX_CAP = 14
 GRAPH_CODE_CHUNK = 1 << 19  # entries of one candidates-by-permutations code block
 PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selections
 HIT_CONFIRM_TOL = 1e-10
-D2_SCREEN_CHUNK = 2048  # triangle sets per batch; a graph's hits come batch by batch, then by k
+D2_SCREEN_CHUNK = 2048  # complexes per screen batch; hits come batch by batch, then by k
+_T_BITS = 63  # top-layer cliques a uint64 batch value T picks from
 
 
 @dataclass(frozen=True)
@@ -320,6 +321,14 @@ def isomorphic(X: SimplicialComplex, Y: SimplicialComplex) -> dict[int, int] | N
 def graphs_up_to_isomorphism(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All graphs on n labeled vertices, one representative per isomorphism class.
 
+    The classes of ``_graph_classes(n)``, in its order.
+    """
+    return tuple(_graph_classes(n))
+
+
+def _graph_classes(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The graph classes on n vertices, lazily, one representative each.
+
     The graphs on n vertices are the classes on n-1 vertices, each extended
     by every neighbourhood of the new vertex n-1 in mask order; the first
     candidate of each class is kept.  A class is named by its canonical
@@ -327,14 +336,16 @@ def graphs_up_to_isomorphism(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     "Isomorph-free exhaustive generation", 1998).  The codes come from
     float64 products of the candidates' edge bits with a (pairs x n!) table
     of powers of two, in blocks of GRAPH_CODE_CHUNK entries; they are exact
-    because n <= 8 needs at most 28 bits.
+    because n <= 8 needs at most 28 bits.  A caller that stops early pays
+    only for the blocks it reached.
     """
     if n < 1:
         raise InputError("need n >= 1")
     if n > 8:
         raise SizeLimitError("graph enumeration capped at 8 vertices")
     if n == 1:
-        return ((),)
+        yield ()
+        return
     new = n - 1
     parents = graphs_up_to_isomorphism(new)
     pairs = np.array(list(combinations(range(n), 2)))
@@ -347,21 +358,18 @@ def graphs_up_to_isomorphism(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     masks = np.arange(1 << new)
     new_bits = np.zeros((len(masks), len(pairs)))
     new_bits[:, bit[new, :new]] = (masks[:, None] >> np.arange(new)) & 1
-    candidates = (parent_bits[:, None, :] + new_bits[None, :, :]).reshape(-1, len(pairs))
 
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     table = np.ldexp(1.0, bit[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]).T
     step = max(1, GRAPH_CODE_CHUNK // len(perms))
-    codes = np.concatenate([
-        (candidates[i : i + step] @ table).min(axis=1)
-        for i in range(0, len(candidates), step)
-    ])
-    _, first = np.unique(codes, return_index=True)
-    out = []
-    for i in np.sort(first):
-        p, mask = divmod(int(i), len(masks))
-        out.append(parents[p] + tuple((v, new) for v in range(new) if (mask >> v) & 1))
-    return tuple(out)
+    seen: set[float] = set()
+    for start in range(0, len(parents) * len(masks), step):
+        p, mask = np.divmod(np.arange(start, min(start + step, len(parents) * len(masks))), len(masks))
+        codes = ((parent_bits[p] + new_bits[mask]) @ table).min(axis=1)
+        for i, m, code in zip(p.tolist(), mask.tolist(), codes.tolist()):
+            if code not in seen:
+                seen.add(code)
+                yield parents[i] + tuple((v, new) for v in range(new) if (m >> v) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,89 +449,71 @@ def _verify_hit(
     )
 
 
-def _cliques_by_size(n: int, eset: set[tuple[int, int]], max_size: int) -> dict[int, list[tuple[int, ...]]]:
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for c in range(3, max_size + 1):
-        out[c] = [
-            s for s in combinations(range(n), c)
-            if all(p in eset for p in combinations(s, 2))
-        ]
+def _cliques(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """The graph's cliques of every cardinality 1..n as vertex bitmasks, in
+    the order of ``itertools.combinations``: a (c+1)-clique is a c-clique
+    grown by a larger vertex adjacent to all of it."""
+    adj = [0] * n
+    for u, w in edges:
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    out = {1: [1 << v for v in range(n)]}
+    for c in range(2, n + 1):
+        out[c] = [s | 1 << v for s in out[c - 1] for v in range(s.bit_length(), n) if adj[v] & s == s]
     return out
 
 
-def _enumerate_layered(
-    n: int, d: int, eset: set[tuple[int, int]]
-) -> Iterator[list[tuple[int, ...]]]:
-    """Missing-face selections of cardinalities 3..d+2, top layer nonempty.
-
-    Yields the flat list of missing faces of dimension >= 2; together with
-    the non-edges they form the full minimal-non-face antichain of a complex
-    with maximal missing dimension d.
-    """
-    cliques = _cliques_by_size(n, eset, d + 1)
-
-    def rec(c: int, chosen: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-        eligible = [
-            s for s in cliques[c]
-            if not any(set(m) <= set(s) for m in chosen)
-        ]
-        last = c == d + 1
-        for mask in range(1 << len(eligible)):
-            layer = [eligible[i] for i in range(len(eligible)) if (mask >> i) & 1]
-            if last:
-                if layer:
-                    yield chosen + layer
-            else:
-                yield from rec(c + 1, chosen + layer)
-
-    yield from rec(3, [])
+def _vertices(mask: int) -> Simplex:
+    return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 
 
-def _probe_general(
-    n: int, d: int, budget: int | None, tol: float
-) -> tuple[list[ProbeHit], int, bool]:
-    targets = _candidate_targets(n, d)
-    hits: list[ProbeHit] = []
-    examined = 0
-    for edges in graphs_up_to_isomorphism(n):
-        eset = {tuple(sorted(e)) for e in edges}
-        nonedges = [p for p in combinations(range(n), 2) if p not in eset]
-        for extra in _enumerate_layered(n, d, eset):
-            if budget is not None and examined >= budget:
-                return hits, examined, False
-            examined += 1
-            X = from_missing_faces(n, list(nonedges) + extra)
-            for k, target in targets:
-                hit = _verify_hit(X, d, k, target, tol)
-                if hit is not None:
-                    hits.append(hit)
-    return hits, examined, True
+def _selection(fixed: list[Simplex], low: list[int], T: np.ndarray, i: int) -> list[Simplex]:
+    """The missing faces of complex i of a batch: ``fixed``, and the sets in
+    ``low`` that the bits of T[i] pick."""
+    return fixed + [_vertices(q) for j, q in enumerate(low) if (int(T[i]) >> j) & 1]
 
 
-class _D2Tables:
-    """The exact integer screen of the d=2 probe on n vertices.
+def _incidence(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Signed incidence of the vertex-set bitmasks ``rows`` over ``cols``,
+    one vertex smaller: (-1)**j where a column is its row without the row's
+    j-th vertex, the signs of ``operators.coboundary_matrix``."""
+    r, c = rows[:, None], cols[None, :]
+    j = np.bitwise_count(r & ((r ^ c) - 1))
+    return np.where((r & c) == c, np.where(j & 1, -1, 1), 0)
 
-    Columns are the vertex sets of the cardinalities the targets read: k+1
-    (the k-faces) and k+2.  A complex is a 0/1 row of live columns, its
-    faces.  ``weights`` turns a row into the degree row values
-    (k+2)*deg + 2(k+1) - facet sum of every k-face, target by target, in
-    one product: deg counts the live (k+1)-faces above, and the facet sum
-    counts, through |delta_{k-1}| |delta_{k-1}|^T, the live k-faces that
-    share a facet.
+
+class _Screen:
+    """The exact integer screen of the probe over the complexes of one graph.
+
+    By the paper's bound, target <= degree row bound == Gershgorin <= mu_k
+    for every complex whose missing faces have dimension <= d.  Columns are
+    the graph's cliques of the cardinalities the targets read: k+1 (the
+    k-faces) and k+2, so the tables grow with the complexes, not with
+    C(n, k+1), at any n a random probe takes; targets with no k-face on the
+    graph are dropped.  A complex is a 0/1 row of live columns, its faces.
+    ``weights`` turns a row into the degree row values (k+2)*deg + 2(k+1) -
+    facet sum of every k-face, target by target, in one product: deg counts
+    the live (k+1)-faces above, and the facet sum counts, through
+    |delta_{k-1}| |delta_{k-1}|^T, the live k-faces that share a facet.
+    ``ranks`` caches ``singular`` across the graphs of one probe.
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.targets = _candidate_targets(n, 2)
-        full = full_simplex(n - 1)
+    def __init__(self, n: int, d: int, cliques: dict[int, list[int]], ranks: dict) -> None:
+        self.targets = [(k, t) for k, t in _candidate_targets(n, d) if cliques[k + 1]]
+        self.ranks = ranks
         cards = sorted({c for k, _ in self.targets for c in (k + 1, k + 2)})
-        self.faces: list[Simplex] = []
+        faces: list[int] = []
         self.cols: dict[int, slice] = {}
         for c in cards:
-            self.cols[c] = slice(len(self.faces), len(self.faces) + len(full.faces(c - 1)))
-            self.faces += full.faces(c - 1)
+            self.cols[c] = slice(len(faces), len(faces) + len(cliques[c]))
+            faces += cliques[c]
+        self.faces = np.array(faces, dtype=np.int64)
+        if not self.targets:
+            return
         self.cob = {
-            j: coboundary_matrix(full, j).mat for k, _ in self.targets for j in (k - 1, k)
+            j: _incidence(np.array(cliques[j + 2], dtype=np.int64),
+                          np.array(cliques[j + 1], dtype=np.int64))
+            for k, _ in self.targets for j in (k - 1, k)
         }
         blocks = []
         for k, _ in self.targets:
@@ -540,7 +530,11 @@ class _D2Tables:
             [np.arange(len(self.faces))[self.cols[k + 1]] for k, _ in self.targets]
         )
         self.starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
-        self._singular: dict[tuple[int, bytes], bool] = {}
+
+    def inside(self, sets: list[int]) -> np.ndarray:
+        """(columns, sets): whether each column contains each vertex set."""
+        m = np.array(sets, dtype=np.int64)
+        return (self.faces[:, None] & m) == m
 
     def min_rows(self, live: np.ndarray) -> np.ndarray:
         """(complexes, targets): the least degree row value over the k-faces
@@ -555,132 +549,124 @@ class _D2Tables:
         singular over the prime field; full rank mod p proves it
         nonsingular over Q.  The matrix depends only on the live k- and
         (k+1)-faces, so each such pair is decided once."""
-        key = (k, live[self.cols[k + 1].start : self.cols[k + 2].stop].tobytes())
-        if key not in self._singular:
-            faces = live[self.cols[k + 1]]
+        faces, up = live[self.cols[k + 1]], live[self.cols[k + 2]]
+        key = (k, self.faces[self.cols[k + 1]][faces].tobytes(),
+               self.faces[self.cols[k + 2]][up].tobytes())
+        if key not in self.ranks:
             down = self.cob[k - 1][faces]
-            up = self.cob[k][live[self.cols[k + 2]]][:, faces]
+            up = self.cob[k][up][:, faces]
             shifted = down @ down.T + up.T @ up - target * np.eye(len(down), dtype=np.int64)
-            self._singular[key] = spectral.rank_mod_p(shifted) < len(shifted)
-        return self._singular[key]
+            self.ranks[key] = spectral.rank_mod_p(shifted) < len(shifted)
+        return self.ranks[key]
 
-
-class _D2Graph:
-    """The complexes of one graph in the d=2 probe.
-
-    The value T, 1 <= T < 2**len(tris), names the complex whose missing
-    faces are the graph's non-edges and each triangle tris[i] with bit i of
-    T set.  Its faces are the cliques of the graph that hold no missing
-    triangle.
-    """
-
-    def __init__(self, tables: _D2Tables, edges: Sequence[tuple[int, int]]) -> None:
-        self.eset = {tuple(sorted(e)) for e in edges}
-        self.tris = [
-            t for t in combinations(range(tables.n), 3)
-            if all(p in self.eset for p in combinations(t, 2))
-        ]
-        self.clique = np.array(
-            [all(p in self.eset for p in combinations(f, 2)) for f in tables.faces]
-        )
-        self.tri_bits = np.array(
-            [sum(1 << i for i, t in enumerate(self.tris) if set(t) <= set(f)) for f in tables.faces],
-            dtype=np.uint64,
-        )
-
-    def live(self, T: np.ndarray) -> np.ndarray:
-        """(len(T), columns): which columns are faces of each complex."""
-        return self.clique & ((T[:, None] & self.tri_bits) == 0)
-
-    def missing_triangles(self, T: int) -> list[Simplex]:
-        return [t for i, t in enumerate(self.tris) if (T >> i) & 1]
-
-
-def _probe_fast_d2(
-    n: int, budget: int | None, tol: float
-) -> tuple[list[ProbeHit], int, bool]:
-    """Exhaustive d=2 search over the missing-triangle sets of every graph.
-
-    By the paper's bound, target <= degree row bound == Gershgorin <= mu_k.
-    The screen computes the row bound exactly, D2_SCREEN_CHUNK triangle
-    sets at a time.  A row bound above the target rules the pair out; one
-    below it contradicts the bound and raises IntegrityError.  At equality
-    L_k - target*I is diagonally dominant, hence PSD, so mu_k == target
-    exactly when it is singular, and a full rank mod p rules the pair out.
-    Every pair left is re-verified by ``_verify_hit`` from a freshly built
-    complex, batch by batch, then by k, then by T.
-    """
-    tables = _D2Tables(n)
-    all_pairs = list(combinations(range(n), 2))
-    hits: list[ProbeHit] = []
-    examined = 0
-    complete = True
-
-    for edges in graphs_up_to_isomorphism(n):
-        graph = _D2Graph(tables, edges)
-        if not graph.tris:
-            continue
-        found: list[tuple[int, int, int]] = []  # (T, k, target)
-        t_val = 1
-        top = 1 << len(graph.tris)
-        while t_val < top:
-            if budget is not None and examined >= budget:
-                complete = False
-                break
-            count = min(D2_SCREEN_CHUNK, top - t_val)
-            if budget is not None:
-                count = min(count, budget - examined)
-            T = np.arange(t_val, t_val + count, dtype=np.uint64)
-            t_val += count
-            examined += count
-
-            live = graph.live(T)
-            low = tables.min_rows(live)
-            for j, (k, target) in enumerate(tables.targets):
-                below = np.flatnonzero(low[:, j] < target)
-                if below.size:
-                    i = below[0]
-                    raise IntegrityError(
-                        f"degree row bound {low[i, j]:.0f} < target {target} at k={k} on the "
-                        f"graph {list(edges)} with missing triangles "
-                        f"{graph.missing_triangles(int(T[i]))}: the bound is violated"
-                    )
-                for i in np.flatnonzero(low[:, j] == target):
-                    if tables.singular(live[i], k, target):
-                        found.append((int(T[i]), k, target))
-
-        nonedges = [p for p in all_pairs if p not in graph.eset]
-        for T_int, k, target in found:
-            X = from_missing_faces(n, nonedges + graph.missing_triangles(T_int))
-            hit = _verify_hit(X, 2, k, target, tol)
-            if hit is not None:
-                hits.append(hit)
-        if not complete:
-            break
-    return hits, examined, complete
-
-
-def _probe_random(
-    n: int, d: int, budget: int, seed: int, tol: float
-) -> tuple[list[ProbeHit], int]:
-    rng = random.Random(seed)
-    targets = _candidate_targets(n, d)
-    hits: list[ProbeHit] = []
-    examined = 0
-    for _ in range(budget):
-        examined += 1
-        p = rng.uniform(0.3, 0.95)
-        eset = {e for e in combinations(range(n), 2) if rng.random() < p}
-        cliques = _cliques_by_size(n, eset, d + 1)
-        chosen: list[tuple[int, ...]] = []
-        ok = True
-        for c in range(3, d + 2):
-            eligible = [
-                s for s in cliques[c] if not any(set(m) <= set(s) for m in chosen)
+    def equalities(self, live: np.ndarray, missing: Callable[[int], list[Simplex]]):
+        """(row, k, target) for each complex of ``live`` and target left by
+        the screen, by k, then by row.  A row bound above the target rules
+        the pair out; one below it contradicts the bound and raises
+        IntegrityError.  At equality L_k - target*I is diagonally dominant,
+        hence PSD, so mu_k == target exactly when it is singular."""
+        if not self.targets:
+            return []
+        low = self.min_rows(live)
+        out = []
+        for j, (k, target) in enumerate(self.targets):
+            below = np.flatnonzero(low[:, j] < target)
+            if below.size:
+                i = int(below[0])
+                raise IntegrityError(
+                    f"degree row bound {low[i, j]:.0f} < target {target} at k={k} on the "
+                    f"complex with missing faces {missing(i)}: the bound is violated"
+                )
+            out += [
+                (i, k, target) for i in np.flatnonzero(low[:, j] == target).tolist()
+                if self.singular(live[i], k, target)
             ]
+        return out
+
+
+def _prefixes(cliques: dict[int, list[int]], d: int) -> Iterator[tuple[list[int], int]]:
+    """The lower layers of the layered walk: missing faces of cardinalities
+    3..d, each layer a subset of the cliques that hold no face chosen below
+    it, in increasing mask order, layer 3 outermost.  Yields (chosen, alive),
+    where ``alive`` is the bitmask of the (d+1)-cliques holding no chosen
+    face; a subset that leaves none alive is cut, since every layer above it
+    would be empty."""
+    tops = cliques[d + 1]
+
+    def layer(c: int, chosen: list[int], alive: int) -> Iterator[tuple[list[int], int]]:
+        if c > d:
+            yield chosen, alive
+            return
+        eligible = [s for s in cliques[c] if all(m & s != m for m in chosen)]
+        kills = [sum(1 << j for j, q in enumerate(tops) if q & s == s) for s in eligible]
+
+        def pick(i: int, alive: int, taken: list[int]) -> Iterator[tuple[list[int], int]]:
+            # bits i-1..0 of the mask, highest first and 0 before 1
+            if i == 0:
+                yield from layer(c + 1, chosen + taken, alive)
+                return
+            yield from pick(i - 1, alive, taken)
+            if alive & ~kills[i - 1]:
+                yield from pick(i - 1, alive & ~kills[i - 1], [eligible[i - 1]] + taken)
+
+        yield from pick(len(eligible), alive, [])
+
+    yield from layer(3, [], (1 << len(tops)) - 1)
+
+
+def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -> Iterator[tuple]:
+    """Every complex on n vertices with maximal missing-face dimension d, in
+    batches of at most D2_SCREEN_CHUNK.
+
+    A complex is a graph class, faces of cardinalities 3..d from
+    ``_prefixes`` and a nonempty top layer of (d+1)-cliques holding none of
+    them.  The top layer is the value T, 1 <= T < 2**len(tops), whose bit i
+    picks tops[i]; a column is live when it holds no chosen face, a test on
+    bitmasks.  Tops past the first _T_BITS are picked by the Python int
+    ``hi`` outside the batches, so T fits in uint64.
+    """
+    ranks: dict = {}
+    for edges in graphs:
+        cliques = _cliques(n, edges)
+        if not cliques[d + 1]:
+            continue
+        screen = _Screen(n, d, cliques, ranks)
+        nonedges = sorted(set(combinations(range(n), 2)).difference(edges))
+        for chosen, alive in _prefixes(cliques, d):
+            tops = [q for j, q in enumerate(cliques[d + 1]) if (alive >> j) & 1]
+            low, high = tops[:_T_BITS], tops[_T_BITS:]
+            bits = (screen.inside(low) << np.arange(len(low), dtype=np.uint64)).sum(1, np.uint64)
+            for hi in range(1 << len(high)):
+                extra = chosen + [q for i, q in enumerate(high) if (hi >> i) & 1]
+                base = ~screen.inside(extra).any(axis=1)
+                fixed = nonedges + [_vertices(m) for m in extra]
+                t, top = (0 if hi else 1), 1 << len(low)
+                while t < top:
+                    count = min(D2_SCREEN_CHUNK, top - t)
+                    T = np.arange(count, dtype=np.uint64) + np.uint64(t)
+                    live = base & ((T[:, None] & bits) == 0)
+                    yield count, screen, live, partial(_selection, fixed, low, T)
+                    t += count
+
+
+def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple]:
+    """``budget`` complexes drawn deterministically from ``seed``, one batch
+    each: a graph, then missing faces of cardinalities 3..d+1, layer by
+    layer, from the cliques holding no face drawn below.  A draw with no
+    (d+1)-clique left for its top layer is counted and not screened."""
+    rng = random.Random(seed)
+    ranks: dict = {}
+    pairs = list(combinations(range(n), 2))
+    for _ in range(budget):
+        p = rng.uniform(0.3, 0.95)
+        edges = [e for e in pairs if rng.random() < p]
+        cliques = _cliques(n, edges)
+        chosen: list[int] = []
+        for c in range(3, d + 2):
+            eligible = [s for s in cliques[c] if all(m & s != m for m in chosen)]
             if c == d + 1:
                 if not eligible:
-                    ok = False
+                    yield 1, None, None, None
                     break
                 q = rng.uniform(0.1, 0.9)
                 layer = [s for s in eligible if rng.random() < q]
@@ -690,15 +676,35 @@ def _probe_random(
                 q = rng.uniform(0.0, 0.5)
                 layer = [s for s in eligible if rng.random() < q]
             chosen.extend(layer)
-        if not ok:
+        else:
+            screen = _Screen(n, d, cliques, ranks)
+            faces = sorted(set(pairs).difference(edges)) + [_vertices(m) for m in chosen]
+            yield 1, screen, ~screen.inside(chosen).any(axis=1)[None, :], partial(
+                _selection, faces, [], [0])
+
+
+def _probe(
+    n: int, d: int, batches: Iterator[tuple], budget: int | None, tol: float
+) -> tuple[list[ProbeHit], int, bool]:
+    """Screen each batch and confirm every pair left with ``_verify_hit`` on
+    a freshly built complex, batch by batch, then by k, then by complex.
+    ``budget`` caps the complexes examined; the report is incomplete when a
+    further one was left."""
+    hits: list[ProbeHit] = []
+    examined = 0
+    for count, screen, live, missing in batches:
+        if budget is not None:
+            if examined >= budget:
+                return hits, examined, False
+            count = min(count, budget - examined)
+        examined += count
+        if screen is None:
             continue
-        nonedges = [e for e in combinations(range(n), 2) if e not in eset]
-        X = from_missing_faces(n, nonedges + chosen)
-        for k, target in targets:
-            hit = _verify_hit(X, d, k, target, tol)
+        for i, k, target in screen.equalities(live[:count], missing):
+            hit = _verify_hit(from_missing_faces(n, missing(i)), d, k, target, tol)
             if hit is not None:
                 hits.append(hit)
-    return hits, examined
+    return hits, examined, True
 
 
 def probe_equality_cases(
@@ -712,14 +718,15 @@ def probe_equality_cases(
     """Search complexes with maximal missing-face dimension d for gap equalities.
 
     Every complex X on n vertices with h(X) = d is tested at each dimension
-    where the target (d+1)(k+1) - d*n is attainable; hits are re-verified at
-    a tightened tolerance and checked for isomorphism with the canonical
-    join form.  Exhaustive mode covers every isomorphism class of graph
-    and every selection of missing faces above it; at d = 2 an exact
-    integer screen (degree row bound, then a rank mod p) picks the pairs
-    to verify.  Without a ``budget`` it refuses, before enumerating, when
-    K_n alone offers more than 2**PROBE_SELECTION_BITS selections.  Random
-    mode samples ``budget`` complexes deterministically from ``seed``.
+    where the target (d+1)(k+1) - d*n is attainable.  In both modes one
+    exact integer screen (degree row bound, then a rank mod p) picks the
+    pairs to verify; each is re-verified on a freshly built complex at a
+    tightened tolerance and checked for isomorphism with the canonical join
+    form.  Exhaustive mode covers every isomorphism class of graph and
+    every selection of missing faces above it; without a ``budget`` it
+    refuses, before enumerating, when K_n alone offers more than
+    2**PROBE_SELECTION_BITS selections.  Random mode samples ``budget``
+    complexes deterministically from ``seed``.
     """
     if d < 2:
         raise InputError("probe needs d >= 2; the d=1 case is equality_case_check")
@@ -736,22 +743,11 @@ def probe_equality_cases(
                 f"selections on K_{n} alone, over 2^{PROBE_SELECTION_BITS}; "
                 "bound it with a budget (--budget)"
             )
-        if d == 2 and n <= 7:
-            hits, examined, complete = _probe_fast_d2(n, budget, tol)
-        else:
-            hits, examined, complete = _probe_general(n, d, budget, tol)
+        batches, cap = _layered_walk(n, d, _graph_classes(n)), budget
     elif mode == "random":
-        hits, examined = _probe_random(n, d, budget if budget is not None else 1000, seed, tol)
-        complete = True
+        batches, cap = _sampled(n, d, budget if budget is not None else 1000, seed), None
     else:
         raise InputError(f"unknown probe mode {mode!r}")
-    return ProbeReport(
-        d=d,
-        n=n,
-        mode=mode,
-        budget=budget,
-        seed=seed,
-        examined=examined,
-        complete=complete,
-        hits=tuple(hits),
-    )
+    hits, examined, complete = _probe(n, d, batches, cap, tol)
+    return ProbeReport(d=d, n=n, mode=mode, budget=budget, seed=seed, examined=examined,
+                       complete=complete, hits=tuple(hits))

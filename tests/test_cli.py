@@ -181,15 +181,51 @@ def test_probe_subcommand(capsys):
     ]
 
 
-@pytest.mark.parametrize("fmt,digest", [
-    ("json", "bc4708a6ced98361a85e5e5e858a99f28a07c7b3f5900a505e96321c72fb854b"),
-    ("text", "0778fe96c06c6cdd094c4d7189a3e05ea1df5a447f8212244d894b0edb7d3795"),
-], ids=["json", "text"])
-def test_probe_d2_n6_output_is_pinned(capsys, fmt, digest):
-    """The 30 hits of the exhaustive (2,6) probe, in their order, byte for byte."""
-    code, out, err = run(capsys, "probe", "--d", "2", "--n", "6", "--format", fmt)
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param(("--d", "2", "--n", "6", "--format", "json"),
+                 "bc4708a6ced98361a85e5e5e858a99f28a07c7b3f5900a505e96321c72fb854b", id="json"),
+    pytest.param(("--d", "2", "--n", "6", "--format", "text"),
+                 "0778fe96c06c6cdd094c4d7189a3e05ea1df5a447f8212244d894b0edb7d3795", id="text"),
+    pytest.param(("--d", "3", "--n", "5"),
+                 "384aeacace49ad0835fe4d640a38a011f1b70ed93de1e0e1c09cc9b7ccb37c83", id="d3-n5"),
+    pytest.param(("--d", "4", "--n", "5"),
+                 "85333f291ba61e4fd613f9e00ca684914ea6db3fe6153e332f17c18af230586c", id="d4-n5"),
+    pytest.param(("--d", "3", "--n", "6", "--budget", "2000"),
+                 "986b922195428f9cc4ed27e03501af363ea8ca0109a05268c7c7409a2baeb411",
+                 id="d3-n6-budget"),
+    pytest.param(("--d", "4", "--n", "6", "--budget", "3000"),
+                 "e9b754d2e38033da70a24187d5bd3a242d0b72eb418cb0a117b718078c47a6e3",
+                 id="d4-n6-budget"),
+    pytest.param(("--d", "3", "--n", "7", "--budget", "3000"),
+                 "6f100b10aa92bd73631987be996e40b629ddb66a27655dc925402620d0719e96",
+                 id="d3-n7-budget"),
+    pytest.param(("--d", "2", "--n", "7", "--mode", "random", "--budget", "250", "--seed", "12"),
+                 "3b845c02849c6698be2506535e97e1fd4a60d006f19d8b178cc4b3dd7918132d",
+                 id="d2-n7-random"),
+    # hits at k=4, then at k=3: the sample order, not the k order
+    pytest.param(("--d", "2", "--n", "6", "--mode", "random", "--budget", "300", "--seed", "9"),
+                 "41a45080f825c3eba299c88821a665036bb930dd296a4645f15e8c6c2ede3777",
+                 id="d2-n6-random"),
+])
+def test_probe_d2_n6_output_is_pinned(capsys, argv, digest):
+    """Probe stdout byte for byte: the 30 hits of the exhaustive (2,6) probe
+    in their order, and exhaustive and random runs at d = 2, 3 and 4."""
+    code, out, err = run(capsys, "probe", *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("--d", "3", "--n", "5"),
+    ("--d", "2", "--n", "6", "--mode", "random", "--budget", "50"),
+    ("--d", "2", "--n", "5"),
+])
+def test_a_loose_tol_confirms_only_what_the_screen_keeps(capsys, argv):
+    # the exact screen drops every pair whose gap is off its target, so a
+    # tol wider than the gaps' distance to it reports the same hits
+    code, loose, err = run(capsys, "probe", *argv, "--tol", "5")
+    assert code == 0 and err == ""
+    assert loose == run(capsys, "probe", *argv)[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -213,7 +249,7 @@ def test_unbounded_exhaustive_probe_over_the_cap_exits_2_at_once(capsys, monkeyp
     def refuse(n):
         raise AssertionError("enumerated before the cap was checked")
 
-    monkeypatch.setattr(lg.extremal, "graphs_up_to_isomorphism", refuse)
+    monkeypatch.setattr(lg.extremal, "_graph_classes", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "--budget" in err and err.count("\n") == 1

@@ -12,14 +12,13 @@ import pytest
 
 import lapgap as lg
 from lapgap.complexes import facets
-from lapgap.errors import DomainError, InputError, SizeLimitError
+from lapgap.errors import DomainError, InputError, IntegrityError, SizeLimitError
 from lapgap.extremal import (
     _candidate_targets,
-    _D2Graph,
-    _D2Tables,
-    _probe_fast_d2,
-    _probe_general,
+    _layered_walk,
     _verify_hit,
+    from_missing_faces,
+    graphs_up_to_isomorphism,
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
@@ -316,7 +315,7 @@ def test_exhaustive_cap_counts_selections_before_enumerating(monkeypatch):
     def refuse(n):
         raise AssertionError("enumerated before the cap was checked")
 
-    monkeypatch.setattr(lg.extremal, "graphs_up_to_isomorphism", refuse)
+    monkeypatch.setattr(lg.extremal, "_graph_classes", refuse)
     for d, n in ((2, 7), (3, 6), (2, 12)):
         with pytest.raises(SizeLimitError, match="--budget"):
             lg.probe_equality_cases(d, n)
@@ -347,9 +346,135 @@ def test_probe_finds_canonical_complex_itself():
 
 def test_probe_general_path_matches_fast_path():
     hg, eg, cg = _probe_general(4, 2, None, 1e-7)
-    hf, ef, cf = _probe_fast_d2(4, None, 1e-7)
-    assert eg == ef == 20 and cg and cf
-    assert sorted((h.k, h.facets) for h in hg) == sorted((h.k, h.facets) for h in hf)
+    rep = lg.probe_equality_cases(2, 4)
+    assert eg == rep.examined == 20 and cg and rep.complete
+    assert sorted((h.k, h.facets) for h in hg) == sorted((h.k, h.facets) for h in rep.hits)
+
+
+# The engines the one screen replaced, kept verbatim as oracles: the
+# layered walk that built and eigensolved every selection, and the random
+# sampler that eigensolved every sample.
+
+
+def _cliques_by_size(n: int, eset: set[tuple[int, int]], max_size: int) -> dict[int, list[tuple[int, ...]]]:
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for c in range(3, max_size + 1):
+        out[c] = [
+            s for s in combinations(range(n), c)
+            if all(p in eset for p in combinations(s, 2))
+        ]
+    return out
+
+
+def _enumerate_layered(
+    n: int, d: int, eset: set[tuple[int, int]]
+) -> Iterator[list[tuple[int, ...]]]:
+    """Missing-face selections of cardinalities 3..d+2, top layer nonempty.
+
+    Yields the flat list of missing faces of dimension >= 2; together with
+    the non-edges they form the full minimal-non-face antichain of a complex
+    with maximal missing dimension d.
+    """
+    cliques = _cliques_by_size(n, eset, d + 1)
+
+    def rec(c: int, chosen: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+        eligible = [
+            s for s in cliques[c]
+            if not any(set(m) <= set(s) for m in chosen)
+        ]
+        last = c == d + 1
+        for mask in range(1 << len(eligible)):
+            layer = [eligible[i] for i in range(len(eligible)) if (mask >> i) & 1]
+            if last:
+                if layer:
+                    yield chosen + layer
+            else:
+                yield from rec(c + 1, chosen + layer)
+
+    yield from rec(3, [])
+
+
+def _probe_general(
+    n: int, d: int, budget: int | None, tol: float
+) -> tuple[list[ProbeHit], int, bool]:
+    targets = _candidate_targets(n, d)
+    hits: list[ProbeHit] = []
+    examined = 0
+    for edges in graphs_up_to_isomorphism(n):
+        eset = {tuple(sorted(e)) for e in edges}
+        nonedges = [p for p in combinations(range(n), 2) if p not in eset]
+        for extra in _enumerate_layered(n, d, eset):
+            if budget is not None and examined >= budget:
+                return hits, examined, False
+            examined += 1
+            X = from_missing_faces(n, list(nonedges) + extra)
+            for k, target in targets:
+                hit = _verify_hit(X, d, k, target, tol)
+                if hit is not None:
+                    hits.append(hit)
+    return hits, examined, True
+
+
+def _probe_random(
+    n: int, d: int, budget: int, seed: int, tol: float
+) -> tuple[list[ProbeHit], int]:
+    rng = random.Random(seed)
+    targets = _candidate_targets(n, d)
+    hits: list[ProbeHit] = []
+    examined = 0
+    for _ in range(budget):
+        examined += 1
+        p = rng.uniform(0.3, 0.95)
+        eset = {e for e in combinations(range(n), 2) if rng.random() < p}
+        cliques = _cliques_by_size(n, eset, d + 1)
+        chosen: list[tuple[int, ...]] = []
+        ok = True
+        for c in range(3, d + 2):
+            eligible = [
+                s for s in cliques[c] if not any(set(m) <= set(s) for m in chosen)
+            ]
+            if c == d + 1:
+                if not eligible:
+                    ok = False
+                    break
+                q = rng.uniform(0.1, 0.9)
+                layer = [s for s in eligible if rng.random() < q]
+                if not layer:
+                    layer = [eligible[rng.randrange(len(eligible))]]
+            else:
+                q = rng.uniform(0.0, 0.5)
+                layer = [s for s in eligible if rng.random() < q]
+            chosen.extend(layer)
+        if not ok:
+            continue
+        nonedges = [e for e in combinations(range(n), 2) if e not in eset]
+        X = from_missing_faces(n, nonedges + chosen)
+        for k, target in targets:
+            hit = _verify_hit(X, d, k, target, tol)
+            if hit is not None:
+                hits.append(hit)
+    return hits, examined
+
+
+def _report(rep):
+    return [list(rep.hits), rep.examined, rep.complete]
+
+
+# (4,6) and (3,7) with a budget of 3000, where the oracle takes seconds, are
+# pinned by their stdout digests in tests/test_cli.py instead
+@pytest.mark.parametrize("d,n,budget", [(3, 4, 1000), (3, 4, 2000), (3, 5, 1000), (3, 5, 2000),
+                                        (3, 6, 1000), (3, 6, 2000), (4, 5, None)])
+def test_engine_matches_the_layered_oracle(d, n, budget):
+    assert _report(lg.probe_equality_cases(d, n, budget=budget)) == list(
+        _probe_general(n, d, budget, 1e-7))
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (2, 7), (3, 6), (2, 8)])
+def test_random_mode_matches_the_sampling_oracle(d, n):
+    for seed in range(3):
+        hits, examined = _probe_random(n, d, 100, seed, 1e-7)
+        rep = lg.probe_equality_cases(d, n, mode="random", budget=100, seed=seed)
+        assert _report(rep) == [hits, examined, True], seed
 
 
 # The batched float screen that the exact integer screen replaced, kept as
@@ -438,43 +563,47 @@ def _float_screen_probe_d2(n, budget, tol):
 
 
 @pytest.mark.parametrize("n,budget", [(3, None), (4, None), (5, None), (5, 100),
-                                      (6, 3000), (6, 70000), (6, 120000)])
+                                      (6, 3000), (6, 70000), (6, 120000)] + [
+    (n, budget) for n in (3, 4, 5, 6) for budget in (100, 3000, 120000)
+    if (n, budget) not in ((5, 100), (6, 3000), (6, 120000))] + [(7, 5000)])
 def test_integer_screen_matches_the_float_screen(n, budget):
-    # the last budget reaches 20 hits of K_6 across many screen batches, so
-    # it checks the order of the hits too
-    assert _probe_fast_d2(n, budget, 1e-7) == _float_screen_probe_d2(n, budget, 1e-7)
-
-
-def _complex(graph, n, T_int):
-    nonedges = [p for p in combinations(range(n), 2) if p not in graph.eset]
-    return lg.from_missing_faces(n, nonedges + graph.missing_triangles(T_int))
+    # (6, 120000) reaches 20 hits of K_6 across many screen batches, so it
+    # checks the order of the hits too
+    assert _report(lg.probe_equality_cases(2, n, budget=budget)) == list(
+        _float_screen_probe_d2(n, budget, 1e-7))
 
 
 def test_batched_min_row_is_the_degree_row_bound():
-    tables = _D2Tables(5)
-    for edges in (lg.graphs_up_to_isomorphism(5)[-1], ((0, 1), (0, 2), (1, 2), (1, 3),
-                                                       (2, 3), (2, 4), (3, 4), (0, 4))):
-        graph = _D2Graph(tables, edges)
-        T = np.arange(1, 1 << len(graph.tris), dtype=np.uint64)
-        low = tables.min_rows(graph.live(T))
-        for T_int in T.tolist():
-            X = _complex(graph, 5, T_int)
-            for j, (k, _) in enumerate(tables.targets):
-                expect = lg.gershgorin_from_degrees(X, k) if X.faces(k) else np.inf
-                assert low[T_int - 1, j] == expect, (edges, T_int, k)
+    # a graph with no 4-clique drops the target k=3: its rows read inf
+    cases = [(2, lg.graphs_up_to_isomorphism(5)[-1]),
+             (2, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (0, 4))),
+             (3, lg.graphs_up_to_isomorphism(5)[-2])]
+    for d, edges in cases:
+        for count, screen, live, missing in _layered_walk(5, d, [edges]):
+            low = screen.min_rows(live) if screen.targets else np.zeros((count, 0))
+            for i in range(count):
+                X = lg.from_missing_faces(5, missing(i))
+                rows = dict(zip([k for k, _ in screen.targets], low[i]))
+                for k, _ in _candidate_targets(5, d):
+                    expect = lg.gershgorin_from_degrees(X, k) if X.faces(k) else np.inf
+                    assert rows.get(k, np.inf) == expect, (edges, missing(i), k)
 
 
 def _screen_equalities(n, edges, top=None):
-    """(complex, k, target, kept by the rank) for each pair at the screen's equality."""
-    tables = _D2Tables(n)
-    graph = _D2Graph(tables, edges)
-    T = np.arange(1, top or 1 << len(graph.tris), dtype=np.uint64)
-    live = graph.live(T)
-    low = tables.min_rows(live)
-    for j, (k, target) in enumerate(tables.targets):
-        for i in np.flatnonzero(low[:, j] == target):
-            yield (_complex(graph, n, int(T[i])), k, target,
-                   tables.singular(live[i], k, target))
+    """(complex, k, target, kept by the rank) for each pair at the screen's
+    equality among the first ``top`` complexes the walk builds on a graph."""
+    for count, screen, live, missing in _layered_walk(n, 2, [edges]):
+        count = count if top is None else min(count, top)
+        if screen.targets:
+            low = screen.min_rows(live[:count])
+            for j, (k, target) in enumerate(screen.targets):
+                for i in np.flatnonzero(low[:, j] == target):
+                    yield (lg.from_missing_faces(n, missing(i)), k, target,
+                           screen.singular(live[i], k, target))
+        if top is not None:
+            top -= count
+            if not top:
+                return
 
 
 def test_rank_keeps_the_hits_and_drops_only_gaps_above_the_target():
@@ -484,7 +613,7 @@ def test_rank_keeps_the_hits_and_drops_only_gaps_above_the_target():
     kept = dropped = 0
     cases = [(5, edges, None) for edges in lg.graphs_up_to_isomorphism(5)]
     cases += [(6, lg.graphs_up_to_isomorphism(6)[-2], None),
-              (6, lg.graphs_up_to_isomorphism(6)[-1], 1 << 12)]
+              (6, lg.graphs_up_to_isomorphism(6)[-1], (1 << 12) - 1)]
     for n, edges, top in cases:
         for X, k, target, singular in _screen_equalities(n, edges, top):
             mu = lg.spectral_gap(X, k)
@@ -495,6 +624,32 @@ def test_rank_keeps_the_hits_and_drops_only_gaps_above_the_target():
                 dropped += 1
                 assert mu > target + 1e-6, (facets(X), k)
     assert (kept, dropped) == (24, 631)
+
+
+def test_one_screen_serves_every_mode(monkeypatch):
+    # a row bound below its target contradicts the paper's bound: with every
+    # row value lowered by one, each mode meets such a row and refuses
+    min_rows = lg.extremal._Screen.min_rows
+    monkeypatch.setattr(lg.extremal._Screen, "min_rows", lambda self, live: min_rows(self, live) - 1)
+    for kw in (dict(d=3, n=5), dict(d=2, n=5, mode="random", budget=200),
+               dict(d=3, n=5, mode="random", budget=1000)):
+        with pytest.raises(IntegrityError, match="the bound is violated"):
+            lg.probe_equality_cases(**kw)
+
+
+def test_top_layers_wider_than_a_batch_value(monkeypatch):
+    # tops past _T_BITS are picked outside the uint64 batch values
+    expect = [_report(lg.probe_equality_cases(d, 5)) for d in (2, 3)]
+    monkeypatch.setattr(lg.extremal, "_T_BITS", 2)
+    assert [_report(lg.probe_equality_cases(d, 5)) for d in (2, 3)] == expect
+
+
+def test_k8_offers_70_tops_at_d3(monkeypatch):
+    K8 = tuple(combinations(range(8), 2))
+    monkeypatch.setitem(globals(), "graphs_up_to_isomorphism", lambda n: (K8,))
+    walk = lg.extremal._layered_walk(8, 3, [K8])
+    assert list(lg.extremal._probe(8, 3, walk, 50, 1e-7)) == list(
+        _probe_general(8, 3, 50, 1e-7))
 
 
 def test_probe_general_d3():

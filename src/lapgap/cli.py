@@ -5,13 +5,15 @@ logic lives here.  Output is deterministic: dict keys are emitted in fixed
 order and floats are formatted to 12 significant digits.
 
 Exit codes: 0 success, 1 failed internal assertion or integrity check,
-2 invalid input.
+2 invalid input, 141 stdout closed by its reader (the status of a process
+killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -289,7 +291,7 @@ def _cmd_verify_z(args, out) -> int:
 def _cmd_equality(args, out) -> int:
     X = parse_constructor(args.expr)
     k = _one_k(X, args.k, "equality check")
-    verdict = extremal.equality_case_check(X, k, tol=args.tol)
+    verdict = extremal.equality_case_check(X, k)
     _emit(
         {
             "k": verdict.k,
@@ -307,14 +309,7 @@ def _cmd_equality(args, out) -> int:
 
 
 def _cmd_probe(args, out) -> int:
-    report = extremal.probe_equality_cases(
-        d=args.d,
-        n=args.n,
-        mode=args.mode,
-        budget=args.budget,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    report = extremal.probe_equality_cases(args.d, args.n, args.mode, args.budget, args.seed)
     for hit in report.hits:
         _emit(
             {
@@ -406,7 +401,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equality", help="test the d=1 gap equality and certify the witness")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-7, help="equality tolerance")
 
     p = sub.add_parser("probe", help="search for gap equality cases at d >= 2")
     p.add_argument("--d", type=int, required=True)
@@ -415,7 +409,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--tol", type=float, default=1e-7)
 
     p = sub.add_parser("dump-matrix", help="write an operator matrix as text triples")
     common(p)
@@ -443,7 +436,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_argparser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, sys.stdout)
+        code = _HANDLERS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 1

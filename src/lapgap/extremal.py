@@ -5,7 +5,8 @@ skeleton of a d-simplex with a full (r-1)-simplex; its gaps and minimal
 degrees have closed forms that make the degree bound an equality at every
 dimension.  ``equality_case_check`` tests the d = 1 uniqueness statement,
 and ``probe_equality_cases`` searches for equality cases at d >= 2, exhaustively
-or by sampling; one exact integer screen picks what an eigensolve confirms.
+or by sampling.  Every equality mu_k == target is decided in integers: a
+degree or Gershgorin row bound, then ``spectral.balanced_kernel``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import hodge, spectral
+from .bounds import BOUND_TOL, gershgorin_lower_bound
 from .complexes import (
     Simplex,
     SimplicialComplex,
@@ -36,7 +38,6 @@ from .spectral import join_spectrum, skeleton_spectrum, spectral_gap
 ISO_VERTEX_CAP = 14
 GRAPH_CODE_CHUNK = 1 << 19  # entries of one candidates-by-permutations code block
 PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selections
-HIT_CONFIRM_TOL = 1e-10
 D2_SCREEN_CHUNK = 2048  # complexes per screen batch; hits come batch by batch, then by k
 _T_BITS = 63  # top-layer cliques a uint64 batch value T picks from
 
@@ -144,11 +145,6 @@ class ZVerifyReport:
         )
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be a finite number >= 0, got {tol}")
-
-
 def verify_z_family(
     d: int, t: int, r: int, tol: float = 1e-8, face_cap: int = 5000
 ) -> ZVerifyReport:
@@ -158,7 +154,8 @@ def verify_z_family(
     the closed forms and of each other.
     """
     params = ZParams(d, t, r)
-    _check_tol(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be a finite number >= 0, got {tol}")
     if params.total_faces > face_cap:
         raise SizeLimitError(
             f"Z({d},{t},{r}) has {params.total_faces} faces (dimension {params.dim}), "
@@ -210,13 +207,34 @@ class EqualityVerdict:
     witness: dict[int, int] | None
 
 
-def equality_case_check(X: SimplicialComplex, k: int, tol: float = 1e-7) -> EqualityVerdict:
-    """Test the equality and, when it holds, certify the canonical form.
+def _at_target(X: SimplicialComplex, k: int, target: int) -> bool:
+    """Whether mu_k(X) == target, decided in integers on X's own L_k: mu_k
+    >= row bound, and at equality L_k - target*I is weakly diagonally
+    dominant, singular exactly when it has a balanced kernel.  A row bound
+    below the target, or an eigensolved mu_k off a target that holds,
+    raises IntegrityError."""
+    L = hodge.laplacian(X, k).mat
+    row = gershgorin_lower_bound(L)
+    if row < target:
+        raise IntegrityError(f"row bound {row} < target {target} at k={k}: the bound is violated")
+    if row > target or not spectral.balanced_kernel(L - target * np.eye(len(L), dtype=np.int64)):
+        return False
+    mu = spectral_gap(X, k)
+    if abs(mu - target) > BOUND_TOL:
+        raise IntegrityError(
+            f"eigensolved mu_{k} = {mu!r} is off the target {target} that the exact test holds"
+        )
+    return True
 
-    Raises IntegrityError if the equality holds but no isomorphism to the
-    canonical complex exists; that would falsify the characterization.
+
+def equality_case_check(X: SimplicialComplex, k: int) -> EqualityVerdict:
+    """Decide the equality exactly and, when it holds, certify the canonical form.
+
+    On a clique complex mu_k >= row bound >= 2(k+1) - n, so ``_at_target``
+    decides every k.  Raises IntegrityError if the equality holds but no
+    isomorphism to the canonical complex exists; that would falsify the
+    characterization.
     """
-    _check_tol(tol)
     report = hodge.missing_faces(X)
     if report.h is not None and (
         report.h > 1 or any(len(f) != 2 for f in report.missing)
@@ -227,7 +245,7 @@ def equality_case_check(X: SimplicialComplex, k: int, tol: float = 1e-7) -> Equa
     n = X.num_vertices
     target = 2 * (k + 1) - n
     mu = spectral_gap(X, k)
-    if abs(mu - target) > tol:
+    if not _at_target(X, k, target):
         return EqualityVerdict(k=k, holds=False, mu=mu, target=target, witness=None)
     canonical = canonical_equality_complex(n, k)
     witness = isomorphic(X, canonical)
@@ -422,31 +440,18 @@ def _candidate_targets(n: int, d: int) -> list[tuple[int, int]]:
     return out
 
 
-def _verify_hit(
-    X: SimplicialComplex, d: int, k: int, target: int, tol: float
-) -> ProbeHit | None:
-    if k > X.dim:
-        return None
-    mu = spectral_gap(X, k)
-    err = abs(mu - target)
-    if err > tol:
-        return None
-    if err > HIT_CONFIRM_TOL:
+def _verify_hit(X: SimplicialComplex, d: int, k: int, target: int) -> ProbeHit:
+    """Decide a pair the screen kept again, on the freshly built complex's
+    own L_k, an assembly independent of the screen's ``_incidence``; a
+    disagreement raises IntegrityError."""
+    if k > X.dim or not _at_target(X, k, target):
         raise IntegrityError(
-            f"ambiguous near-equality at k={k}: |mu - {target}| = {err:.3e} "
-            f"is inside tol={tol} but fails the confirmation tolerance {HIT_CONFIRM_TOL}"
+            f"the screen holds mu_{k} = {target} on the complex with facets {facets(X)}, "
+            "but its Laplacian does not"
         )
-    canonical = _canonical_for(X.num_vertices, k, d)
-    iso = isomorphic(X, canonical) is not None
-    return ProbeHit(
-        n=X.num_vertices,
-        d=d,
-        k=k,
-        mu=mu,
-        target=target,
-        isomorphic_to_canonical=iso,
-        facets=facets(X),
-    )
+    iso = isomorphic(X, _canonical_for(X.num_vertices, k, d)) is not None
+    return ProbeHit(n=X.num_vertices, d=d, k=k, mu=spectral_gap(X, k), target=target,
+                    isomorphic_to_canonical=iso, facets=facets(X))
 
 
 def _cliques(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -495,12 +500,11 @@ class _Screen:
     facet sum of every k-face, target by target, in one product: deg counts
     the live (k+1)-faces above, and the facet sum counts, through
     |delta_{k-1}| |delta_{k-1}|^T, the live k-faces that share a facet.
-    ``ranks`` caches ``singular`` across the graphs of one probe.
+    A pair at its row bound is then decided by ``singular``.
     """
 
-    def __init__(self, n: int, d: int, cliques: dict[int, list[int]], ranks: dict) -> None:
+    def __init__(self, n: int, d: int, cliques: dict[int, list[int]]) -> None:
         self.targets = [(k, t) for k, t in _candidate_targets(n, d) if cliques[k + 1]]
-        self.ranks = ranks
         cards = sorted({c for k, _ in self.targets for c in (k + 1, k + 2)})
         faces: list[int] = []
         self.cols: dict[int, slice] = {}
@@ -545,26 +549,21 @@ class _Screen:
         return np.minimum.reduceat(rows, self.starts, axis=1)
 
     def singular(self, live: np.ndarray, k: int, target: int) -> bool:
-        """Whether L_k - target*I of the complex with live columns ``live`` is
-        singular over the prime field; full rank mod p proves it
-        nonsingular over Q.  The matrix depends only on the live k- and
-        (k+1)-faces, so each such pair is decided once."""
+        """Whether L_k - target*I of the complex with live columns ``live``,
+        weakly diagonally dominant at the screen's equality, is singular:
+        whether it has a balanced kernel."""
         faces, up = live[self.cols[k + 1]], live[self.cols[k + 2]]
-        key = (k, self.faces[self.cols[k + 1]][faces].tobytes(),
-               self.faces[self.cols[k + 2]][up].tobytes())
-        if key not in self.ranks:
-            down = self.cob[k - 1][faces]
-            up = self.cob[k][up][:, faces]
-            shifted = down @ down.T + up.T @ up - target * np.eye(len(down), dtype=np.int64)
-            self.ranks[key] = spectral.rank_mod_p(shifted) < len(shifted)
-        return self.ranks[key]
+        down = self.cob[k - 1][faces]
+        up = self.cob[k][up][:, faces]
+        shifted = down @ down.T + up.T @ up - target * np.eye(len(down), dtype=np.int64)
+        return bool(spectral.balanced_kernel(shifted))
 
     def equalities(self, live: np.ndarray, missing: Callable[[int], list[Simplex]]):
         """(row, k, target) for each complex of ``live`` and target left by
         the screen, by k, then by row.  A row bound above the target rules
         the pair out; one below it contradicts the bound and raises
-        IntegrityError.  At equality L_k - target*I is diagonally dominant,
-        hence PSD, so mu_k == target exactly when it is singular."""
+        IntegrityError.  At equality L_k - target*I is weakly diagonally
+        dominant, hence PSD, so mu_k == target exactly when it is singular."""
         if not self.targets:
             return []
         low = self.min_rows(live)
@@ -625,12 +624,11 @@ def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -
     bitmasks.  Tops past the first _T_BITS are picked by the Python int
     ``hi`` outside the batches, so T fits in uint64.
     """
-    ranks: dict = {}
     for edges in graphs:
         cliques = _cliques(n, edges)
         if not cliques[d + 1]:
             continue
-        screen = _Screen(n, d, cliques, ranks)
+        screen = _Screen(n, d, cliques)
         nonedges = sorted(set(combinations(range(n), 2)).difference(edges))
         for chosen, alive in _prefixes(cliques, d):
             tops = [q for j, q in enumerate(cliques[d + 1]) if (alive >> j) & 1]
@@ -655,7 +653,6 @@ def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple]:
     layer, from the cliques holding no face drawn below.  A draw with no
     (d+1)-clique left for its top layer is counted and not screened."""
     rng = random.Random(seed)
-    ranks: dict = {}
     pairs = list(combinations(range(n), 2))
     for _ in range(budget):
         p = rng.uniform(0.3, 0.95)
@@ -677,14 +674,14 @@ def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple]:
                 layer = [s for s in eligible if rng.random() < q]
             chosen.extend(layer)
         else:
-            screen = _Screen(n, d, cliques, ranks)
+            screen = _Screen(n, d, cliques)
             faces = sorted(set(pairs).difference(edges)) + [_vertices(m) for m in chosen]
             yield 1, screen, ~screen.inside(chosen).any(axis=1)[None, :], partial(
                 _selection, faces, [], [0])
 
 
 def _probe(
-    n: int, d: int, batches: Iterator[tuple], budget: int | None, tol: float
+    n: int, d: int, batches: Iterator[tuple], budget: int | None
 ) -> tuple[list[ProbeHit], int, bool]:
     """Screen each batch and confirm every pair left with ``_verify_hit`` on
     a freshly built complex, batch by batch, then by k, then by complex.
@@ -701,9 +698,7 @@ def _probe(
         if screen is None:
             continue
         for i, k, target in screen.equalities(live[:count], missing):
-            hit = _verify_hit(from_missing_faces(n, missing(i)), d, k, target, tol)
-            if hit is not None:
-                hits.append(hit)
+            hits.append(_verify_hit(from_missing_faces(n, missing(i)), d, k, target))
     return hits, examined, True
 
 
@@ -713,18 +708,17 @@ def probe_equality_cases(
     mode: str = "exhaustive",
     budget: int | None = None,
     seed: int = 0,
-    tol: float = 1e-7,
 ) -> ProbeReport:
     """Search complexes with maximal missing-face dimension d for gap equalities.
 
     Every complex X on n vertices with h(X) = d is tested at each dimension
     where the target (d+1)(k+1) - d*n is attainable.  In both modes one
-    exact integer screen (degree row bound, then a rank mod p) picks the
-    pairs to verify; each is re-verified on a freshly built complex at a
-    tightened tolerance and checked for isomorphism with the canonical join
-    form.  Exhaustive mode covers every isomorphism class of graph and
-    every selection of missing faces above it; without a ``budget`` it
-    refuses, before enumerating, when K_n alone offers more than
+    exact integer screen (degree row bound, then a balanced kernel) decides
+    each pair; every equality is decided again, exactly, on a freshly built
+    complex and checked for isomorphism with the canonical join form.
+    Exhaustive mode covers every isomorphism class of graph and every
+    selection of missing faces above it; without a ``budget`` it refuses,
+    before enumerating, when K_n alone offers more than
     2**PROBE_SELECTION_BITS selections.  Random mode samples ``budget``
     complexes deterministically from ``seed``.
     """
@@ -732,7 +726,6 @@ def probe_equality_cases(
         raise InputError("probe needs d >= 2; the d=1 case is equality_case_check")
     if n < d + 1:
         raise InputError(f"no complex on n={n} vertices has a missing face of dimension {d}")
-    _check_tol(tol)
     if budget is not None and budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
     if mode == "exhaustive":
@@ -748,6 +741,6 @@ def probe_equality_cases(
         batches, cap = _sampled(n, d, budget if budget is not None else 1000, seed), None
     else:
         raise InputError(f"unknown probe mode {mode!r}")
-    hits, examined, complete = _probe(n, d, batches, cap, tol)
+    hits, examined, complete = _probe(n, d, batches, cap)
     return ProbeReport(d=d, n=n, mode=mode, budget=budget, seed=seed, examined=examined,
                        complete=complete, hits=tuple(hits))

@@ -145,6 +145,54 @@ def rank_mod_p(mat: np.ndarray, p: int = RANK_PRIME) -> int:
     return r
 
 
+def balanced_kernel(M: np.ndarray) -> list[np.ndarray]:
+    """A ±1 kernel basis of a symmetric, weakly diagonally dominant integer matrix.
+
+    With slack s_i = M_ii - sum_{j != i} |M_ij| >= 0,
+    x^T M x = sum s_i x_i^2 + sum_{i<j} |M_ij| (x_i + sgn(M_ij) x_j)^2, so
+    Mx = 0 exactly when x vanishes on every row with slack and
+    x_j = -sgn(M_ij) x_i across every off-diagonal nonzero.  Hence one
+    vector per component of the off-diagonal support that has no slack row
+    and no sign-flipping cycle (Taussky 1949; Zaslavsky, "Signed graphs",
+    1982).  Each vector is checked by M @ x == 0 in int64.
+    """
+    arr = np.asarray(M)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.dtype.kind not in "iu":
+        raise InputError(f"expected a square integer matrix, got {arr.dtype} {arr.shape}")
+    rows = arr.tolist()
+    if rows != [list(col) for col in zip(*rows)]:
+        raise InputError("matrix is not symmetric")
+    slack = [row[i] - (sum(map(abs, row)) - abs(row[i])) for i, row in enumerate(rows)]
+    if any(s < 0 for s in slack):
+        raise InputError(f"row {slack.index(min(slack))} has negative slack {min(slack)}")
+    sign = [0] * len(rows)
+    out = []
+    for root in range(len(rows)):
+        if sign[root]:
+            continue
+        sign[root] = 1
+        comp, stack, ok = [root], [root], True
+        while stack:
+            i = stack.pop()
+            ok = ok and not slack[i]
+            for j, a in enumerate(rows[i]):
+                if a and j != i:
+                    s = -sign[i] if a > 0 else sign[i]
+                    if not sign[j]:
+                        sign[j] = s
+                        comp.append(j)
+                        stack.append(j)
+                    elif sign[j] != s:
+                        ok = False
+        if ok:
+            x = np.zeros(len(rows), dtype=np.int64)
+            x[comp] = [sign[j] for j in comp]
+            out.append(x)
+    if out and (arr.astype(np.int64) @ np.array(out).T).any():
+        raise IntegrityError("a balanced kernel vector is not in the kernel")
+    return out
+
+
 def betti(X: SimplicialComplex, k: int, zero_tol: float = ZERO_EIG_TOL) -> int:
     """Reduced Betti number via the Laplacian kernel, cross-checked exactly.
 

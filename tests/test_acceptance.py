@@ -182,9 +182,10 @@ def test_criterion_7_equality_characterization():
             X = lg.canonical_equality_complex(n, k)
             assert abs(lg.spectral_gap(X, k) - target) <= 1e-8, (n, k)
 
-    # exhaustively over clique complexes on <= 7 vertices, every equality case
-    # is isomorphic to the canonical complex; zero integrity errors
-    hits = 0
+    # exhaustively over clique complexes on <= 7 vertices, the exact verdict
+    # agrees with the float test on every pair, and every equality case is
+    # isomorphic to the canonical complex; zero integrity errors
+    hits = pairs = 0
     for n in range(1, 8):
         for edges in lg.graphs_up_to_isomorphism(n):
             X = lg.clique_complex(n, edges)
@@ -192,11 +193,13 @@ def test_criterion_7_equality_characterization():
                 target = 2 * (k + 1) - n
                 if target < 0:
                     continue
-                if abs(lg.spectral_gap(X, k) - target) > 1e-7:
-                    continue
-                verdict = lg.equality_case_check(X, k, tol=1e-7)
-                assert verdict.holds and verdict.witness is not None
-                hits += 1
+                verdict = lg.equality_case_check(X, k)
+                assert verdict.holds == (abs(lg.spectral_gap(X, k) - target) <= 1e-7), (n, k)
+                if verdict.holds:
+                    assert verdict.witness is not None
+                    hits += 1
+                pairs += 1
+    assert pairs == 635
     assert hits >= 10  # the family is realized many times at this scale
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import lapgap
 from lapgap import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +24,7 @@ BENCH = ROOT / "bench"
 sys.path.insert(0, str(BENCH))
 
 import harness  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 from tracing import GRAPHS  # noqa: E402
 
@@ -81,3 +83,28 @@ def test_cli_fixed_goldens(argv, oracle):
     error = oracle(result) or harness.check_golden(goldens("cli-mix"), key,
                                                    workloads._cli_summary(result))
     assert error is None, f"{key}: {error}"
+
+
+def test_tracer_wraps_the_probe_and_restores_every_binding():
+    """A traced run resolves every traced name, sees the probe and its
+    eigensolves, re-runs ``isomorphic`` on the hits without disagreement, and
+    puts every original back.  Stage coverage depends on timing and is not
+    checked here."""
+    for home, fname, _, _ in tracing.TARGETS:
+        assert callable(getattr(home, fname, None)), fname
+    tracer = tracing.Tracer()
+    slots = tracer.slots()
+    tracer.op = 0
+    tracer.install()
+    tracer.enabled = True
+    try:
+        report = lapgap.probe_equality_cases(2, 5)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    names = {s[1] for s in tracer.spans}
+    assert {"extremal.probe_equality_cases", "spectral.eigenvalues"} <= names
+    assert tracing.Probes().after_op(tracer.spans) is None
+    (probe,) = [s for s in tracer.spans if s[1] == "extremal.probe_equality_cases"]
+    assert len(report.hits) == 10 and probe[6] == {"examined": report.examined, "hits": 10}
+    assert all(getattr(mod, attr) is orig for mod, attr, orig, _ in slots)

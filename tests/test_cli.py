@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,23 +220,38 @@ def test_probe_d2_n6_output_is_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--d", "3", "--n", "5"),
-    ("--d", "2", "--n", "6", "--mode", "random", "--budget", "50"),
-    ("--d", "2", "--n", "5"),
+    ("probe", "--d", "2", "--n", "5", "--tol", "0"),
+    ("equality", "Z(1,2,1)", "--k", "2", "--tol", "0"),
 ])
-def test_a_loose_tol_confirms_only_what_the_screen_keeps(capsys, argv):
-    # the exact screen drops every pair whose gap is off its target, so a
-    # tol wider than the gaps' distance to it reports the same hits
-    code, loose, err = run(capsys, "probe", *argv, "--tol", "5")
-    assert code == 0 and err == ""
-    assert loose == run(capsys, "probe", *argv)[1]
+def test_equality_takes_no_tol(capsys, argv):
+    # equality is decided exactly; a tol of 0 once turned proved hits away
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,codes", [
+    # 5 kB: the whole output may reach the pipe before the reader closes it
+    (("probe", "--d", "2", "--n", "6"), (0, 141)),
+    # 142 kB, more than a pipe holds: the writer meets the closed pipe
+    (("dump-matrix", "skeleton(10,4)", "--k", "4"), (141,)),
+])
+def test_a_closed_stdout_ends_quietly(argv, codes):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    with subprocess.Popen([sys.executable, "-m", "lapgap.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code in codes and err == b""
 
 
 @pytest.mark.parametrize("argv", [
-    ("equality", "Z(1,2,1)", "--k", "2", "--tol", "-1"),
-    ("equality", "Z(1,2,1)", "--k", "2", "--tol", "nan"),
     ("verify-z", "2", "2", "1", "--tol", "inf"),
-    ("probe", "--d", "2", "--n", "5", "--tol", "-1"),
     ("probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "-3"),
 ])
 def test_bad_tol_and_budget_exit_2(capsys, argv):

@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 import lapgap as lg
-from lapgap.complexes import facets
+from lapgap.complexes import SimplicialComplex, facets
 from lapgap.errors import DomainError, InputError, IntegrityError, SizeLimitError
 from lapgap.extremal import (
+    ProbeHit,
     _candidate_targets,
+    _canonical_for,
     _layered_walk,
-    _verify_hit,
     from_missing_faces,
     graphs_up_to_isomorphism,
+    isomorphic,
 )
+from lapgap.spectral import spectral_gap
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -297,11 +300,24 @@ def test_probe_validation():
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
 def test_bad_tol_is_refused(tol):
     with pytest.raises(InputError):
-        lg.probe_equality_cases(2, 5, tol=tol)
-    with pytest.raises(InputError):
-        lg.equality_case_check(lg.build_z(1, 2, 1), 2, tol=tol)
-    with pytest.raises(InputError):
         lg.verify_z_family(2, 2, 1, tol=tol)
+
+
+@pytest.mark.parametrize("noise,hits", [(1e-12, 10), (1e-3, None)])
+def test_equality_is_decided_exactly_and_checks_the_eigensolve(monkeypatch, noise, hits):
+    # float noise on every eigenvalue moves no verdict; an eigensolve off
+    # the exact verdict by more than BOUND_TOL contradicts it
+    eigenvalues = lg.spectral.eigenvalues
+    monkeypatch.setattr(lg.spectral, "eigenvalues", lambda M: lg.spectral.Spectrum(
+        tuple(v + noise for v in eigenvalues(M).values)))
+    if hits is None:
+        with pytest.raises(IntegrityError, match="exact test"):
+            lg.probe_equality_cases(2, 5)
+        with pytest.raises(IntegrityError, match="exact test"):
+            lg.equality_case_check(lg.build_z(1, 2, 1), 2)
+    else:
+        assert len(lg.probe_equality_cases(2, 5).hits) == hits
+        assert lg.equality_case_check(lg.build_z(1, 2, 1), 2).holds
 
 
 def test_negative_budget_is_refused():
@@ -353,7 +369,37 @@ def test_probe_general_path_matches_fast_path():
 
 # The engines the one screen replaced, kept verbatim as oracles: the
 # layered walk that built and eigensolved every selection, and the random
-# sampler that eigensolved every sample.
+# sampler that eigensolved every sample.  They confirm a pair with the
+# float test the exact one replaced, also kept verbatim.
+
+HIT_CONFIRM_TOL = 1e-10
+
+
+def _verify_hit(
+    X: SimplicialComplex, d: int, k: int, target: int, tol: float
+) -> ProbeHit | None:
+    if k > X.dim:
+        return None
+    mu = spectral_gap(X, k)
+    err = abs(mu - target)
+    if err > tol:
+        return None
+    if err > HIT_CONFIRM_TOL:
+        raise IntegrityError(
+            f"ambiguous near-equality at k={k}: |mu - {target}| = {err:.3e} "
+            f"is inside tol={tol} but fails the confirmation tolerance {HIT_CONFIRM_TOL}"
+        )
+    canonical = _canonical_for(X.num_vertices, k, d)
+    iso = isomorphic(X, canonical) is not None
+    return ProbeHit(
+        n=X.num_vertices,
+        d=d,
+        k=k,
+        mu=mu,
+        target=target,
+        isomorphic_to_canonical=iso,
+        facets=facets(X),
+    )
 
 
 def _cliques_by_size(n: int, eset: set[tuple[int, int]], max_size: int) -> dict[int, list[tuple[int, ...]]]:
@@ -637,6 +683,15 @@ def test_one_screen_serves_every_mode(monkeypatch):
             lg.probe_equality_cases(**kw)
 
 
+def test_a_screen_the_fresh_laplacian_contradicts_raises(monkeypatch):
+    # every pair at the row bound kept (at n=5 each of them holds, at n=6
+    # not): the confirm, deciding again on the freshly built complex's own
+    # L_k, refuses the ones that do not hold
+    monkeypatch.setattr(lg.extremal._Screen, "singular", lambda self, live, k, target: True)
+    with pytest.raises(IntegrityError, match="its Laplacian does not"):
+        lg.probe_equality_cases(2, 6, mode="random", budget=300, seed=9)
+
+
 def test_top_layers_wider_than_a_batch_value(monkeypatch):
     # tops past _T_BITS are picked outside the uint64 batch values
     expect = [_report(lg.probe_equality_cases(d, 5)) for d in (2, 3)]
@@ -648,7 +703,7 @@ def test_k8_offers_70_tops_at_d3(monkeypatch):
     K8 = tuple(combinations(range(8), 2))
     monkeypatch.setitem(globals(), "graphs_up_to_isomorphism", lambda n: (K8,))
     walk = lg.extremal._layered_walk(8, 3, [K8])
-    assert list(lg.extremal._probe(8, 3, walk, 50, 1e-7)) == list(
+    assert list(lg.extremal._probe(8, 3, walk, 50)) == list(
         _probe_general(8, 3, 50, 1e-7))
 
 

@@ -5,10 +5,14 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lapgap as lg
 from lapgap.errors import DomainError, InputError, IntegrityError
@@ -177,6 +181,71 @@ def test_rank_mod_p_matches_float_rank():
         assert lg.rank_mod_p(M) == np.linalg.matrix_rank(M.astype(float))
     assert lg.rank_mod_p(np.zeros((3, 4), dtype=int)) == 0
     assert lg.rank_mod_p(np.eye(4, dtype=int)) == 4
+
+
+# --- balanced kernels ---------------------------------------------------------------
+
+
+@st.composite
+def dominant_matrices(draw):
+    """Symmetric weakly dominant integer matrices: off-diagonal weights
+    signed by a hidden switching, most of them balanced, a few flipped, and
+    a few rows with slack."""
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    sign = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=len(pairs),
+                            max_size=len(pairs)))
+    flips = draw(st.lists(st.sampled_from([1] * 9 + [-1]), min_size=len(pairs),
+                          max_size=len(pairs)))
+    M = np.zeros((n, n), dtype=np.int64)
+    for (i, j), w, f in zip(pairs, weights, flips):
+        M[i, j] = M[j, i] = -sign[i] * sign[j] * w * f
+    slack = draw(st.lists(st.sampled_from([0] * 5 + [1, 2]), min_size=n, max_size=n))
+    M[np.diag_indices(n)] = np.abs(M).sum(axis=1) + slack
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=dominant_matrices())
+def test_balanced_kernel_is_the_kernel(M):
+    kernel = lg.spectral.balanced_kernel(M)
+    assert len(kernel) == len(M) - sympy.Matrix(M.tolist()).rank()
+    for x in kernel:
+        assert set(x.tolist()) <= {-1, 0, 1} and x.any()
+        assert not (M @ x).any()
+
+
+def test_balanced_kernel_counts_the_gershgorin_multiplicity(small_corpus):
+    # at t the Gershgorin bound, L_k - tI is weakly dominant: its balanced
+    # kernel is the multiplicity of t in the spectrum
+    pairs = 0
+    for X in small_corpus:
+        for k in range(X.dim + 1):
+            L = lg.laplacian(X, k).mat
+            t = lg.gershgorin_lower_bound(L)
+            count = sum(abs(v - t) <= lg.spectral.ZERO_EIG_TOL for v in lg.eigenvalues(L).values)
+            assert len(lg.spectral.balanced_kernel(L - t * np.eye(len(L), dtype=np.int64))) == count
+            pairs += count > 0
+    assert pairs > 20
+
+
+def test_balanced_kernel_flips_with_one_sign():
+    # the 5-cycle's graph Laplacian is balanced; negating one edge makes
+    # its one cycle flip sign, and the kernel goes
+    L = lg.laplacian(c5(), 0).mat - 1  # the reduced L_0 is the graph Laplacian + J
+    (x,) = lg.spectral.balanced_kernel(L)
+    assert x.tolist() == [1] * 5
+    L[0, 1] = L[1, 0] = 1
+    assert lg.spectral.balanced_kernel(L) == []
+    assert sympy.Matrix(L.tolist()).rank() == 5
+
+
+def test_balanced_kernel_refuses_negative_slack():
+    with pytest.raises(InputError, match="slack"):
+        lg.spectral.balanced_kernel(np.array([[1, -2], [-2, 1]]))
+    with pytest.raises(InputError):
+        lg.spectral.balanced_kernel(np.array([[1, -1], [0, 1]]))
 
 
 # --- join spectra ------------------------------------------------------------------

@@ -251,7 +251,10 @@ def test_a_closed_stdout_ends_quietly(argv, codes):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify-z", "2", "2", "1", "--tol", "-1"),
+    ("verify-z", "2", "2", "1", "--tol", "nan"),
     ("verify-z", "2", "2", "1", "--tol", "inf"),
+    ("probe", "--d", "2", "--n", "5", "--budget", "-1"),
     ("probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "-3"),
 ])
 def test_bad_tol_and_budget_exit_2(capsys, argv):

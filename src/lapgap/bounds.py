@@ -14,12 +14,13 @@ exact in integer arithmetic; violations raise
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hodge
-from .complexes import Simplex, SimplicialComplex, degree, min_degree, simplex
+from .complexes import Simplex, SimplicialComplex, min_degree, simplex
 from .errors import DomainError, InputError, IntegrityError
 from .operators import OperatorMatrix
 from .spectral import betti, spectral_gap
@@ -119,8 +120,9 @@ def degree_sum_check(X: SimplicialComplex, sigma, d: int | None = None) -> Degre
     if d is None:
         d, _ = effective_missing_dim(X)
     n = X.num_vertices
-    deg_s = degree(X, s)
-    facet_deg = sum(degree(X, s[:i] + s[i + 1 :]) for i in range(len(s)))
+    i = bisect_left(X.faces(k), s)
+    deg_s = int(hodge.degrees(X, k)[i])
+    facet_deg = int(hodge.facet_degree_sums(X, k)[i])
 
     overlap = 0
     sset = set(s)

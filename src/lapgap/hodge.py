@@ -10,7 +10,9 @@ The primitives stay pure: the context calls ``complexes.missing_faces``,
 ``operators.laplacian``, ``operators.coboundary_matrix``,
 ``spectral.eigenvalues`` and ``spectral.rank_mod_p`` through their
 modules, so a wrapper installed on those module attributes sees every
-search, assembly, eigensolve and rank.
+search, assembly, eigensolve and rank.  A rank reads the dense
+coboundary's nonzeros once and reduces them as sparse rows, so it costs
+about as much as its fill-in, not its shape.
 Cached arrays are read-only.
 """
 
@@ -134,7 +136,8 @@ def spectrum(X: SimplicialComplex, k: int) -> spectral.Spectrum:
 
 
 def coboundary_rank(X: SimplicialComplex, k: int) -> int:
-    """Rank of ``delta_k`` over the prime field, computed once per complex."""
+    """Rank of ``delta_k`` over the prime field by sparse row reduction
+    (``spectral.rank_mod_p``), computed once per complex."""
     cache = context(X).ranks
     rank = cache.get(k)
     if rank is None:

@@ -104,6 +104,35 @@ def test_degree_sum_holds_over_corpus(small_corpus):
                 assert rec.inequality_holds
 
 
+def degree_sum_by_probe(X, s, d):
+    """The record rebuilt from ``degree``, which probes every vertex."""
+    k = len(s) - 1
+    n = X.num_vertices
+    deg_s = lg.degree(X, s)
+    facet_deg = sum(lg.degree(X, s[:i] + s[i + 1 :]) for i in range(len(s)))
+    overlap = sum(
+        tuple(sorted(s[:i] + s[i + 1 :] + (v,))) in X
+        for v in X.vertices()
+        if v not in s and tuple(sorted(s + (v,))) not in X
+        for i in range(len(s))
+    )
+    return lg.DegreeSumRecord(
+        sigma=s, k=k, d=d,
+        inequality_lhs=facet_deg - (k - d + 1) * deg_s,
+        inequality_rhs=d * n - (d - 1) * (k + 1),
+        identity_lhs=facet_deg,
+        identity_rhs=(k + 1) * (deg_s + 1) + overlap,
+    )
+
+
+def test_degree_sum_reads_the_degrees_of_the_context(small_corpus):
+    for X in small_corpus:
+        d, _ = lg.effective_missing_dim(X)
+        for k in range(0, X.dim + 1):
+            for s in X.faces(k):
+                assert lg.degree_sum_check(X, s) == degree_sum_by_probe(X, s, d)
+
+
 # --- the bound chain ------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapgap as lg
+from lapgap import hodge
 from lapgap.errors import DomainError, InputError, IntegrityError
 
 from conftest import random_complex
@@ -131,7 +132,10 @@ def test_hodge_and_cohomology_vanishing_equivalence(small_corpus):
             assert (b == 0) == (mu > 1e-7)
 
 
-def rank_mod_p_rowwise(mat, p=lg.spectral.RANK_PRIME):
+RANK_PRIME = lg.spectral.RANK_PRIME
+
+
+def rank_mod_p_rowwise(mat, p=RANK_PRIME):
     """Oracle: elimination over whole rows, the pivot found by a row loop."""
     a = np.asarray(mat, dtype=np.int64) % p
     rows, cols = a.shape
@@ -151,6 +155,38 @@ def rank_mod_p_rowwise(mat, p=lg.spectral.RANK_PRIME):
         if below.size:
             idx = below + r + 1
             a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+# Oracle: the dense elimination that rank_mod_p ran before the sparse
+# reduction, copied verbatim under another name.
+def rank_mod_p_trailing(mat: np.ndarray, p: int = RANK_PRIME) -> int:
+    """Exact rank of an integer matrix over the field with p elements.
+
+    Gaussian elimination on the trailing submatrix: once column c holds
+    its pivot, rows from the pivot row down are zero left of c, so each
+    step touches only ``a[r:, c:]``.  Entries stay below p < 2**31, so
+    every product fits in int64.
+    """
+    a = np.asarray(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        nonzero = np.flatnonzero(a[r:, c]) + r
+        if not nonzero.size:
+            continue
+        piv = nonzero[0]
+        if piv != r:
+            a[[r, piv], c:] = a[[piv, r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        # the swap moved the old row r, zero in column c, to row piv: the
+        # other nonzeros are the rows left to clear
+        idx = nonzero[1:]
+        if idx.size:
+            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
         r += 1
         if r == rows:
             break
@@ -179,8 +215,77 @@ def test_rank_mod_p_matches_float_rank():
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         M = np.array([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
         assert lg.rank_mod_p(M) == np.linalg.matrix_rank(M.astype(float))
-    assert lg.rank_mod_p(np.zeros((3, 4), dtype=int)) == 0
+    for shape in ((3, 4), (0, 0), (0, 5), (5, 0)):
+        assert lg.rank_mod_p(np.zeros(shape, dtype=int)) == 0
     assert lg.rank_mod_p(np.eye(4, dtype=int)) == 4
+
+
+ENTRIES = st.sampled_from([-3, -2, -1, 1, 2, 3, RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME,
+                           RANK_PRIME + 1, 1 - RANK_PRIME])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 15 x 15, empty shapes included: dense, or a few
+    nonzeros; entries negative or multiples of p among them; some rows
+    multiples of others, so ranks fall short of the shape."""
+    rows, cols = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+    M = np.zeros((rows, cols), dtype=np.int64)
+    if not rows * cols:
+        return M
+    if draw(st.booleans()):
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), ENTRIES)
+        for i, j, v in draw(st.lists(cells, max_size=2 * max(rows, cols))):
+            M[i, j] = v
+    else:
+        M[:] = np.reshape(draw(st.lists(st.one_of(st.just(0), ENTRIES), min_size=rows * cols,
+                                        max_size=rows * cols)), (rows, cols))
+    copies = st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1), st.integers(-2, 2))
+    for dst, src, f in draw(st.lists(copies, max_size=rows)):
+        M[dst] = f * M[src]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=integer_matrices())
+def test_rank_mod_p_matches_both_oracles(M):
+    rank = lg.rank_mod_p(M)
+    assert rank == rank_mod_p_trailing(M) == rank_mod_p_rowwise(M)
+    assert rank <= min(M.shape)
+
+
+def test_rank_mod_p_takes_every_integer_dtype():
+    assert lg.rank_mod_p(np.eye(3, dtype=bool)) == 3
+    assert lg.rank_mod_p(np.array([[-1, 1], [1, -1]], dtype=np.int8)) == 1
+    big = np.array([[2**64 - 1, 0], [0, RANK_PRIME]], dtype=np.uint64)
+    assert lg.rank_mod_p(big) == 1  # 2**64 - 1 is no multiple of p; p is
+
+
+def test_rank_mod_p_refuses_floats_and_other_shapes():
+    with pytest.raises(InputError):
+        lg.rank_mod_p(np.array([[0.5, 0.0], [0.0, 0.7]]))
+    with pytest.raises(InputError):
+        lg.rank_mod_p(np.array([1, 2, 3]))
+    with pytest.raises(InputError):
+        lg.rank_mod_p(np.zeros((2, 2, 2), dtype=np.int64))
+
+
+def test_skeleton_coboundary_ranks_are_binomials():
+    # the full simplex on m+1 vertices is acyclic, so rank delta_k = C(m, k+1)
+    # for every k below the skeleton's top dimension
+    for m, top in ((3, 2), (5, 3), (6, 6), (8, 4), (12, 5)):
+        X = lg.skeleton(m, top)
+        for k in range(-1, top):
+            assert lg.rank_mod_p(lg.coboundary_matrix(X, k).mat) == comb(m, k + 1)
+    assert hodge.coboundary_rank(lg.skeleton(12, 5), 4) == 792
+
+
+def test_large_coboundary_ranks_match_the_oracle():
+    join = lg.join(lg.skeleton(5, 3), lg.skeleton(5, 3))
+    for X, ks in ((lg.build_z(2, 4, 1), (5, 6)), (join, (4, 5))):
+        for k in ks:
+            mat = lg.coboundary_matrix(X, k).mat
+            assert lg.rank_mod_p(mat) == rank_mod_p_trailing(mat)
 
 
 # --- balanced kernels ---------------------------------------------------------------

@@ -176,21 +176,18 @@ class BoundReport:
         }
 
 
-def spectral_gap_bound(
-    X: SimplicialComplex, k: int, d: int | None = None, d_convention: bool | None = None
-) -> BoundReport:
+def spectral_gap_bound(X: SimplicialComplex, k: int) -> BoundReport:
     """Evaluate and verify the full bound chain at dimension k.
 
-    Asserts, raising IntegrityError otherwise: the degree row bound equals
-    the Gershgorin bound exactly; the main bound does not exceed it; and
-    mu_k respects both within floating tolerance.
+    d and ``d_convention`` are X's own, from ``effective_missing_dim`` (the
+    missing-face search runs once per complex).  Asserts, raising
+    IntegrityError otherwise: the degree row bound equals the Gershgorin
+    bound exactly; the main bound does not exceed it; and mu_k respects
+    both within floating tolerance.
     """
     if not -1 <= k <= X.dim:
         raise DomainError(f"bound undefined for k={k} (no k-faces)")
-    if d is None:
-        d, d_convention = effective_missing_dim(X)
-    elif d_convention is None:
-        d_convention = False
+    d, d_convention = effective_missing_dim(X)
     n = X.num_vertices
     delta = min_degree(X, k)
     mu = spectral_gap(X, k)
@@ -228,13 +225,9 @@ def spectral_gap_bound(
     )
 
 
-def bound_profile(X: SimplicialComplex, d: int | None = None) -> tuple[BoundReport, ...]:
-    """Bound reports for every dimension -1..dim, sharing one missing-face pass."""
-    if d is None:
-        d, conv = effective_missing_dim(X)
-    else:
-        conv = False
-    return tuple(spectral_gap_bound(X, k, d=d, d_convention=conv) for k in range(-1, X.dim + 1))
+def bound_profile(X: SimplicialComplex) -> tuple[BoundReport, ...]:
+    """Bound reports for every dimension -1..dim, sharing X's one missing-face search."""
+    return tuple(spectral_gap_bound(X, k) for k in range(-1, X.dim + 1))
 
 
 @dataclass(frozen=True)

@@ -172,15 +172,6 @@ def _one_k(X: cx.SimplicialComplex, kflag: str, what: str) -> int:
     return _k_list(X, kflag)[0]
 
 
-def _maybe_dump(X: cx.SimplicialComplex, args) -> None:
-    path = getattr(args, "dump_matrix", None)
-    if not path:
-        return
-    L = hodge.laplacian(X, _one_k(X, args.k, "--dump-matrix"))
-    with open(path, "w", encoding="utf-8") as fh:
-        L.dump(fh)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -202,7 +193,6 @@ def _cmd_build(args, out) -> int:
 
 def _cmd_spectrum(args, out) -> int:
     X = parse_constructor(args.expr)
-    _maybe_dump(X, args)
     ks = set(_k_list(X, args.k))
     profile = spectral.spectral_profile(X)
     rows = [
@@ -221,7 +211,6 @@ def _cmd_spectrum(args, out) -> int:
 
 def _cmd_gap(args, out) -> int:
     X = parse_constructor(args.expr)
-    _maybe_dump(X, args)
     for k in _k_list(X, args.k):
         _emit({"k": k, "gap": _fnum(spectral.spectral_gap(X, k))}, args.format, out)
     return 0
@@ -247,19 +236,8 @@ def _cmd_missing(args, out) -> int:
 
 def _cmd_bound(args, out) -> int:
     X = parse_constructor(args.expr)
-    _maybe_dump(X, args)
-    if args.assume_d is not None:
-        actual, convention = bounds_mod.effective_missing_dim(X)
-        if actual != args.assume_d:
-            raise InputError(
-                f"--assume-d {args.assume_d} contradicts the recomputed value {actual}"
-            )
-        d, conv = actual, convention
-    else:
-        d, conv = bounds_mod.effective_missing_dim(X)
     for k in _k_list(X, args.k):
-        report = bounds_mod.spectral_gap_bound(X, k, d=d, d_convention=conv)
-        obj = report.to_json_dict()
+        obj = bounds_mod.spectral_gap_bound(X, k).to_json_dict()
         obj["mu"] = _fnum(obj["mu"])
         obj["slack"] = _fnum(obj["slack"])
         _emit(obj, args.format, out)
@@ -267,7 +245,7 @@ def _cmd_bound(args, out) -> int:
 
 
 def _cmd_verify_z(args, out) -> int:
-    report = extremal.verify_z_family(args.d, args.t, args.r, tol=args.tol)
+    report = extremal.verify_z_family(args.d, args.t, args.r)
     rows = [
         {
             "k": row.k,
@@ -362,23 +340,22 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, expr=True, k=True):
+    def common(p, expr=True, k=True, fmt=True):
         if expr:
             p.add_argument("expr", help="constructor expression, e.g. 'Z(2,2,1)' or 'file(x.txt)'")
         if k:
             p.add_argument("--k", default="all", help="dimension, integer or 'all'")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        if fmt:
+            p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("build", help="construct a complex and print its summary")
     common(p, k=False)
 
     p = sub.add_parser("spectrum", help="per-dimension gaps, Betti numbers and spectra")
     common(p)
-    p.add_argument("--dump-matrix", metavar="PATH", help="also dump L_k (needs specific --k)")
 
     p = sub.add_parser("gap", help="smallest Laplacian eigenvalue per dimension")
     common(p)
-    p.add_argument("--dump-matrix", metavar="PATH")
 
     p = sub.add_parser("betti", help="reduced Betti numbers (dual-route verified)")
     common(p)
@@ -388,16 +365,12 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="degree lower bound report per dimension")
     common(p)
-    p.add_argument("--assume-d", type=int, default=None, metavar="D",
-                   help="claimed maximal missing-face dimension (verified)")
-    p.add_argument("--dump-matrix", metavar="PATH")
 
     p = sub.add_parser("verify-z", help="verify the tight family against its closed forms")
     p.add_argument("d", type=int)
     p.add_argument("t", type=int)
     p.add_argument("r", type=int)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--tol", type=float, default=1e-8)
+    common(p, expr=False, k=False)
 
     p = sub.add_parser("equality", help="test the d=1 gap equality and certify the witness")
     common(p)
@@ -408,10 +381,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    common(p, expr=False, k=False)
 
     p = sub.add_parser("dump-matrix", help="write an operator matrix as text triples")
-    common(p)
+    common(p, fmt=False)
     p.add_argument("--operator", choices=("laplacian", "coboundary"), default="laplacian")
     p.add_argument("--out", metavar="PATH", default=None)
 

@@ -40,6 +40,7 @@ GRAPH_CODE_CHUNK = 1 << 19  # entries of one candidates-by-permutations code blo
 PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selections
 D2_SCREEN_CHUNK = 2048  # complexes per screen batch; hits come batch by batch, then by k
 _T_BITS = 63  # top-layer cliques a uint64 batch value T picks from
+Z_FACE_CAP = 5000  # verify_z_family refuses a Z(d,t,r) with more faces
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,7 @@ class ZVerifyRow:
     mu_join: float
     delta_actual: int
     bound_identity: bool  # (d+1)(delta+k+1) - d n == mu, exactly
+    mu_exact: bool  # mu_k(Z) == mu_predicted, decided by _at_target
 
 
 @dataclass(frozen=True)
@@ -132,34 +134,33 @@ class ZVerifyReport:
     t: int
     r: int
     rows: tuple[ZVerifyRow, ...]
-    tol: float
 
     @property
     def ok(self) -> bool:
         return all(
-            abs(row.mu_eigen - row.mu_predicted) <= self.tol
-            and abs(row.mu_join - row.mu_predicted) <= self.tol
+            row.mu_exact
+            and row.mu_join == row.mu_predicted
             and row.delta_actual == row.delta_predicted
             and row.bound_identity
             for row in self.rows
         )
 
 
-def verify_z_family(
-    d: int, t: int, r: int, tol: float = 1e-8, face_cap: int = 5000
-) -> ZVerifyReport:
-    """Check the closed forms against eigensolved and join-composed spectra.
+def verify_z_family(d: int, t: int, r: int) -> ZVerifyReport:
+    """Check the closed forms against Z's own Laplacians and join-composed spectra.
 
-    The eigensolver route and the join route are computed independently of
-    the closed forms and of each other.
+    Each row's mu_k == mu_predicted is decided exactly by ``_at_target``
+    (row bound, then a balanced kernel), which raises IntegrityError when
+    the eigensolved gap is more than BOUND_TOL off a target that holds.  The
+    join route sums small integer floats exactly, so it is compared with
+    ``==``.  Both routes are independent of the closed forms and of each
+    other.  A Z with more than Z_FACE_CAP faces is refused.
     """
     params = ZParams(d, t, r)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be a finite number >= 0, got {tol}")
-    if params.total_faces > face_cap:
+    if params.total_faces > Z_FACE_CAP:
         raise SizeLimitError(
             f"Z({d},{t},{r}) has {params.total_faces} faces (dimension {params.dim}), "
-            f"over the cap {face_cap}"
+            f"over the cap {Z_FACE_CAP}"
         )
     Z = build_z(d, t, r)
     skel_table = {i: skeleton_spectrum(d + 1, d - 1, i) for i in range(-1, d)}
@@ -178,9 +179,10 @@ def verify_z_family(
                 mu_join=join_spectrum(tables, k).min(),
                 delta_actual=min_degree(Z, k),
                 bound_identity=(d + 1) * (pred.delta + k + 1) - d * n == pred.mu,
+                mu_exact=_at_target(Z, k, pred.mu),
             )
         )
-    return ZVerifyReport(d=d, t=t, r=r, rows=tuple(rows), tol=tol)
+    return ZVerifyReport(d=d, t=t, r=r, rows=tuple(rows))
 
 
 def canonical_equality_complex(n: int, k: int) -> SimplicialComplex:

@@ -57,17 +57,23 @@ class OperatorMatrix:
         return self.mat.shape
 
     def entry(self, sigma: Sequence[int], tau: Sequence[int]) -> int:
-        return int(self.mat[self.rows.index[simplex(sigma)], self.cols.index[simplex(tau)]])
+        s, t = simplex(sigma), simplex(tau)
+        for face, basis in ((s, self.rows), (t, self.cols)):
+            if face not in basis.index:
+                raise InputError(f"{face} is not in the {basis.k}-face basis of this matrix")
+        return int(self.mat[self.rows.index[s], self.cols.index[t]])
 
     def dump(self, stream: IO[str]) -> None:
-        """Plain-text dump: 'rows cols' then 'i j value' per nonzero, row-major."""
+        """Plain-text dump: 'rows cols' then 'i j value' per nonzero, row-major
+        (the order of ``np.nonzero``)."""
         r, c = self.mat.shape
+        i, j = np.nonzero(self.mat)
         stream.write(f"{r} {c}\n")
-        for i in range(r):
-            for j in range(c):
-                v = self.mat[i, j]
-                if v:
-                    stream.write(f"{i} {j} {int(v)}\n")
+        # line by line: one write larger than a pipe returned without error
+        # after its reader had closed, so the CLI exited 0 and not 141
+        stream.writelines(
+            f"{a} {b} {v}\n" for a, b, v in zip(i.tolist(), j.tolist(), self.mat[i, j].tolist())
+        )
 
     def dumps(self) -> str:
         import io

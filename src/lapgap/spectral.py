@@ -27,10 +27,9 @@ RANK_PRIME = 2**31 - 1
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted real eigenvalue multiset with a grouping tolerance."""
+    """Sorted real eigenvalue multiset."""
 
     values: tuple[float, ...]
-    tol: float = DEFAULT_GROUP_TOL
 
     @property
     def size(self) -> int:
@@ -42,10 +41,10 @@ class Spectrum:
         return self.values[0]
 
     def groups(self) -> tuple[tuple[float, int], ...]:
-        """(value, multiplicity) pairs, grouping runs of nearly equal values."""
+        """(value, multiplicity) pairs, grouping runs within DEFAULT_GROUP_TOL."""
         out: list[tuple[float, int]] = []
         for v in self.values:
-            if out and abs(v - out[-1][0]) <= self.tol:
+            if out and abs(v - out[-1][0]) <= DEFAULT_GROUP_TOL:
                 out[-1] = (out[-1][0], out[-1][1] + 1)
             else:
                 out.append((v, 1))
@@ -55,8 +54,8 @@ class Spectrum:
         return int(sum(1 for v in self.values if v < threshold))
 
 
-def spectrum_of(values: Iterable[float], tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
-    return Spectrum(tuple(sorted(float(v) for v in values)), tol)
+def spectrum_of(values: Iterable[float]) -> Spectrum:
+    return Spectrum(tuple(sorted(float(v) for v in values)))
 
 
 def multiset_close(a: Iterable[float], b: Iterable[float], tol: float = 1e-8) -> bool:
@@ -66,8 +65,9 @@ def multiset_close(a: Iterable[float], b: Iterable[float], tol: float = 1e-8) ->
     return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))
 
 
-def eigenvalues(M: OperatorMatrix | np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
-    """Full ascending spectrum of a symmetric matrix."""
+def eigenvalues(M: OperatorMatrix | np.ndarray) -> Spectrum:
+    """Full ascending spectrum of a symmetric matrix; ``groups()`` of the
+    result merges values within DEFAULT_GROUP_TOL."""
     arr = M.mat if isinstance(M, OperatorMatrix) else np.asarray(M)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"expected a square matrix, got shape {arr.shape}")
@@ -80,7 +80,7 @@ def eigenvalues(M: OperatorMatrix | np.ndarray, tol: float = DEFAULT_GROUP_TOL) 
         if not symmetric:
             raise InputError("matrix is not symmetric")
     vals = np.linalg.eigvalsh(arr.astype(np.float64)) if arr.size else np.zeros(0)
-    return Spectrum(tuple(float(v) for v in vals), tol)
+    return Spectrum(tuple(float(v) for v in vals))
 
 
 def spectral_gap(X: SimplicialComplex, k: int) -> float:
@@ -211,15 +211,15 @@ def balanced_kernel(M: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def betti(X: SimplicialComplex, k: int, zero_tol: float = ZERO_EIG_TOL) -> int:
+def betti(X: SimplicialComplex, k: int) -> int:
     """Reduced Betti number via the Laplacian kernel, cross-checked exactly.
 
-    The eigenvalue count below ``zero_tol`` must match the prime-field rank
+    The eigenvalue count below ZERO_EIG_TOL must match the prime-field rank
     computation |X(k)| - rank(up coboundary) - rank(down coboundary).
     """
     if not -1 <= k <= X.dim:
         raise DomainError(f"betti undefined for k={k} (no k-faces)")
-    numeric = hodge.spectrum(X, k).count_below(zero_tol)
+    numeric = hodge.spectrum(X, k).count_below(ZERO_EIG_TOL)
     rank_down = hodge.coboundary_rank(X, k - 1) if k >= 0 else 0
     exact = len(X.faces(k)) - hodge.coboundary_rank(X, k) - rank_down
     if numeric != exact:
@@ -296,12 +296,12 @@ class SpectralProfile:
     rows: tuple[ProfileRow, ...]
 
 
-def spectral_profile(X: SimplicialComplex, zero_tol: float = ZERO_EIG_TOL) -> SpectralProfile:
+def spectral_profile(X: SimplicialComplex) -> SpectralProfile:
     rows = []
     for k in range(-1, X.dim + 1):
         spec = hodge.spectrum(X, k)
         mu = spec.min()
         if mu < -PSD_TOL:
             raise IntegrityError(f"Laplacian at k={k} has eigenvalue {mu}; not PSD")
-        rows.append(ProfileRow(k=k, gap=mu, betti=betti(X, k, zero_tol), spectrum=spec))
+        rows.append(ProfileRow(k=k, gap=mu, betti=betti(X, k), spectrum=spec))
     return SpectralProfile(n=X.n, dim=X.dim, rows=tuple(rows))

@@ -65,9 +65,10 @@ def test_criterion_1_tight_family_grid():
                     with pytest.raises(SizeLimitError):
                         lg.verify_z_family(d, t, r)
                     continue
-                report = lg.verify_z_family(d, t, r, tol=1e-8)
+                report = lg.verify_z_family(d, t, r)
                 n = params.n
                 for row in report.rows:
+                    assert row.mu_exact
                     assert abs(row.mu_eigen - row.mu_predicted) <= 1e-8
                     assert abs(row.mu_join - row.mu_predicted) <= 1e-8
                     assert row.delta_actual == row.delta_predicted
@@ -144,7 +145,7 @@ def test_criterion_5_hodge_and_vanishing(corpus):
         # betti() raises IntegrityError if the kernel count and the exact
         # field rank disagree
         for k in range(-1, X.dim + 1):
-            b = lg.betti(X, k, zero_tol=1e-7)
+            b = lg.betti(X, k)
             mu = lg.spectral_gap(X, k)
             assert (b == 0) == (mu > 1e-7), (X, k)
         report = lg.vanishing_threshold(X)

@@ -177,6 +177,34 @@ def test_bound_domain_error():
         lg.spectral_gap_bound(c5(), 5)
 
 
+# --- settings that only one value ever reached -------------------------------------------
+
+RETIRED = {
+    # d=0 on the 5-cycle used to end in "IntegrityError: bound 3 exceeds row bound 1"
+    "spectral_gap_bound-d": lambda: lg.spectral_gap_bound(c5(), 0, d=0),
+    "spectral_gap_bound-d_convention": lambda: lg.spectral_gap_bound(c5(), 0, d_convention=False),
+    "bound_profile-d": lambda: lg.bound_profile(c5(), d=1),
+    "verify_z_family-tol": lambda: lg.verify_z_family(1, 1, 1, tol=1e-8),
+    "verify_z_family-face_cap": lambda: lg.verify_z_family(1, 1, 1, face_cap=5000),
+    "betti-zero_tol": lambda: lg.betti(c5(), 1, zero_tol=1e-7),
+    "spectral_profile-zero_tol": lambda: lg.spectral_profile(c5(), zero_tol=1e-7),
+    "eigenvalues-tol": lambda: lg.eigenvalues(np.eye(2), tol=1e-8),
+    "spectrum_of-tol": lambda: lg.spectrum_of([1.0], tol=1e-8),
+    "Spectrum-tol": lambda: lg.Spectrum((1.0,), 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_setting_is_a_type_error(name):
+    with pytest.raises(TypeError):
+        RETIRED[name]()
+
+
+def test_reports_carry_no_tolerance():
+    assert not hasattr(lg.spectrum_of([1.0]), "tol")
+    assert not hasattr(lg.verify_z_family(1, 1, 1), "tol")
+
+
 # --- vanishing threshold ---------------------------------------------------------------
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import lapgap as lg
+from lapgap import cli
 from lapgap.cli import main, parse_constructor
 from lapgap.errors import InputError
 
@@ -109,25 +112,28 @@ def test_bound_tight_family(capsys):
     assert [row["bound"] for row in rows] == [7, 7, 4, 4, 1, 1]
 
 
-def test_bound_assume_d(capsys):
-    code, _, _ = run(capsys, "bound", "Z(2,2,1)", "--k", "1", "--assume-d", "2")
-    assert code == 0
-    code, _, err = run(capsys, "bound", "Z(2,2,1)", "--k", "1", "--assume-d", "1")
-    assert code == 2 and "contradicts" in err
-
-
 def test_tol_is_refused_where_nothing_reads_it(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bound", "Z(1,2,1)", "--tol", "1e-3"])
-    assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    # d comes from the complex and L_k is written by dump-matrix alone, so
+    # these options are refused too, each named by argparse
+    for argv, option in [
+        (("bound", "Z(1,2,1)", "--tol", "1e-3"), "--tol"),
+        (("bound", "Z(2,2,1)", "--k", "1", "--assume-d", "2"), "--assume-d"),
+        (("spectrum", "skeleton(2,1)", "--k", "1", "--dump-matrix", "x.txt"), "--dump-matrix"),
+        (("gap", "skeleton(2,1)", "--k", "1", "--dump-matrix", "x.txt"), "--dump-matrix"),
+        (("bound", "skeleton(2,1)", "--k", "1", "--dump-matrix", "x.txt"), "--dump-matrix"),
+        (("dump-matrix", "skeleton(1,0)", "--k", "0", "--format", "text"), "--format"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("equality", "Z(1,2,1)", "--k", "foo"),
-        ("spectrum", "skeleton(2,1)", "--k", "foo", "--dump-matrix", "x.txt"),
+        ("spectrum", "skeleton(2,1)", "--k", "foo"),
         ("dump-matrix", "skeleton(2,1)", "--k", "foo"),
     ],
 )
@@ -222,6 +228,7 @@ def test_probe_d2_n6_output_is_pinned(capsys, argv, digest):
 @pytest.mark.parametrize("argv", [
     ("probe", "--d", "2", "--n", "5", "--tol", "0"),
     ("equality", "Z(1,2,1)", "--k", "2", "--tol", "0"),
+    ("verify-z", "2", "2", "1", "--tol", "0"),
 ])
 def test_equality_takes_no_tol(capsys, argv):
     # equality is decided exactly; a tol of 0 once turned proved hits away
@@ -251,9 +258,9 @@ def test_a_closed_stdout_ends_quietly(argv, codes):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify-z", "2", "2", "1", "--tol", "-1"),
-    ("verify-z", "2", "2", "1", "--tol", "nan"),
-    ("verify-z", "2", "2", "1", "--tol", "inf"),
+    ("verify-z", "0", "2", "1"),
+    ("verify-z", "2", "2", "-1"),
+    ("verify-z", "3", "3", "1"),
     ("probe", "--d", "2", "--n", "5", "--budget", "-1"),
     ("probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "-3"),
 ])
@@ -287,15 +294,6 @@ def test_dump_matrix_subcommand(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == "2 2\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n"
 
 
-def test_dump_matrix_flag_on_gap(capsys, tmp_path):
-    path = tmp_path / "L.txt"
-    code, _, _ = run(capsys, "gap", "skeleton(2,1)", "--k", "1", "--dump-matrix", str(path))
-    assert code == 0
-    assert path.read_text(encoding="utf-8").startswith("3 3\n")
-    code, _, err = run(capsys, "gap", "skeleton(2,1)", "--dump-matrix", str(path))
-    assert code == 2  # needs a specific --k
-
-
 def test_text_format(capsys):
     code, out, _ = run(capsys, "gap", "simplex(2)", "--k", "0", "--format", "text")
     assert code == 0
@@ -309,3 +307,94 @@ def test_output_is_deterministic(capsys):
     _, p1, _ = run(capsys, "probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "50", "--seed", "9")
     _, p2, _ = run(capsys, "probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "50", "--seed", "9")
     assert p1 == p2
+
+
+FACETS = "n 6\n# a facet file\n0 1 2\n1 2 3\n2 3 4\n3 4 5\n0 5\n0 3\n"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param(("bound", "Z(2,2,1)", "--k", "all"),
+                 "320e023401bb5ea51af4607baffcc248e5e1aa393cc57b10377ac4bf1093b885", id="bound-json"),
+    pytest.param(("bound", "Z(2,2,1)", "--k", "all", "--format", "text"),
+                 "119b1bbd0b6a4244ccfd23f80bc470d1a77b3daab1749122352eb34614c83c4c", id="bound-text"),
+    pytest.param(("bound", "file(facets.txt)"),
+                 "ed0f48ce6ad1719d3e9c40b96b635fd36d9ccb62c90933925845b8c9563457e0", id="bound-file"),
+    pytest.param(("spectrum", "skeleton(3,1)"),
+                 "389721dfe5fb86888e295b94e88296f8667ee0e3cecaebd207a62a90259431ad", id="spectrum"),
+    pytest.param(("gap", "skeleton(3,1)"),
+                 "8f91400d735b2932b295ad0f92bc0fb64aa79a43c1fedf9e0769aae9233cf397", id="gap"),
+    pytest.param(("betti", "skeleton(3,1)"),
+                 "3bcbb5ab4e37459d1436d782afe92ce9f316fcf4796822bcdc68836a315f5ed8", id="betti"),
+    pytest.param(("verify-z", "2", "2", "1"),
+                 "1c32c2ae2f37580099383d7f4f798e6dd910a2768ef41a6f5ff8148627ce9e7e", id="verify-z"),
+    pytest.param(("dump-matrix", "skeleton(10,4)", "--k", "4", "--operator", "laplacian"),
+                 "f548de927cd0d0cfb308bb5867837b441fd9bafefea1f958ae6f17f9782a2e5e",
+                 id="dump-laplacian"),
+    pytest.param(("dump-matrix", "skeleton(10,4)", "--k", "4", "--operator", "coboundary"),
+                 "efd5c831873aef8da9f4d9991bd8de1125e1ab84c2501713beae635165e84ecb",
+                 id="dump-coboundary"),
+])
+def test_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv, digest):
+    """Stdout byte for byte of bound, spectrum, gap, betti, verify-z and
+    dump-matrix, json and text, on a constructor and on a facet file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "facets.txt").write_text(FACETS, encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one small argv per subcommand for the option-read test
+SAMPLE_ARGV = {
+    "build": ("simplex(1)",),
+    "spectrum": ("simplex(1)",),
+    "gap": ("simplex(1)",),
+    "betti": ("simplex(1)",),
+    "missing": ("skeleton(2,1)",),
+    "bound": ("simplex(1)",),
+    "verify-z": ("1", "1", "1"),
+    "equality": ("Z(1,1,1)", "--k", "1"),
+    "probe": ("--d", "2", "--n", "3"),
+    "dump-matrix": ("simplex(1)", "--k", "0"),
+}
+
+
+class _Reads(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_option_is_read_by_its_handler(tmp_path, monkeypatch):
+    # an option that argparse accepts and no handler reads is silently ignored
+    monkeypatch.chdir(tmp_path)
+    parser = cli._build_argparser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(SAMPLE_ARGV) == set(cli._HANDLERS)
+    unread = []
+    for name, sub in subparsers.choices.items():
+        args = _Reads(**vars(parser.parse_args([name, *SAMPLE_ARGV[name]])))
+        assert cli._HANDLERS[name](args, io.StringIO()) == 0
+        unread += [f"{name} {'/'.join(a.option_strings) or a.dest}" for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in args._read]
+    assert unread == []
+
+
+def test_verify_z_exits_1_when_a_closed_form_is_one_below_the_gap(capsys, monkeypatch):
+    predicted = lg.extremal.predicted_z_profile
+
+    def one_below(d, t, r):
+        rows = list(predicted(d, t, r))
+        rows[2] = lg.extremal.ZProfileRow(k=rows[2].k, mu=rows[2].mu - 1, delta=rows[2].delta)
+        return tuple(rows)
+
+    monkeypatch.setattr(lg.extremal, "predicted_z_profile", one_below)
+    code, out, err = run(capsys, "verify-z", "2", "2", "1")
+    assert code == 1 and err == "" and json.loads(out)["ok"] is False

@@ -87,6 +87,7 @@ def test_verify_z_family_small_grid():
         report = lg.verify_z_family(d, t, r)
         assert report.ok
         for row in report.rows:
+            assert row.mu_exact
             assert abs(row.mu_eigen - row.mu_predicted) <= 1e-8
             assert abs(row.mu_join - row.mu_predicted) <= 1e-8
             assert row.delta_actual == row.delta_predicted
@@ -95,6 +96,27 @@ def test_verify_z_family_small_grid():
 def test_verify_z_family_refuses_over_cap():
     with pytest.raises(SizeLimitError):
         lg.verify_z_family(3, 3, 1)
+
+
+@pytest.mark.parametrize("shift,raises", [(-1, False), (1, True)])
+def test_verify_z_family_decides_each_mu_exactly(monkeypatch, shift, raises):
+    # a closed form one below the gap fails its row's exact test; one above
+    # exceeds the row bound of a tight Laplacian, which contradicts the bound
+    predicted = lg.extremal.predicted_z_profile
+
+    def shifted(d, t, r):
+        rows = list(predicted(d, t, r))
+        rows[2] = lg.extremal.ZProfileRow(k=rows[2].k, mu=rows[2].mu + shift, delta=rows[2].delta)
+        return tuple(rows)
+
+    monkeypatch.setattr(lg.extremal, "predicted_z_profile", shifted)
+    if raises:
+        with pytest.raises(IntegrityError, match="row bound 4 < target 5 at k=1"):
+            lg.verify_z_family(2, 2, 1)
+        return
+    report = lg.verify_z_family(2, 2, 1)
+    assert not report.ok
+    assert [row.mu_exact for row in report.rows] == [True, True, False, True, True, True]
 
 
 # --- canonical complexes and the d=1 equality ------------------------------------
@@ -299,7 +321,8 @@ def test_probe_validation():
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
 def test_bad_tol_is_refused(tol):
-    with pytest.raises(InputError):
+    # verify_z_family decides mu_k exactly and takes no tol at all
+    with pytest.raises(TypeError):
         lg.verify_z_family(2, 2, 1, tol=tol)
 
 

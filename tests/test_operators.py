@@ -267,3 +267,29 @@ def test_matrix_dump_format():
     S0 = lg.skeleton(1, 0)
     text = lg.laplacian(S0, 0).dumps()
     assert text == "2 2\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n"
+
+
+def test_entry_outside_the_bases_names_the_face():
+    delta = lg.coboundary_matrix(lg.skeleton(2, 1), 0)
+    assert delta.entry((0, 1), (1,)) == 1
+    with pytest.raises(InputError, match=r"\(0, 1, 2\)"):
+        delta.entry((0, 1, 2), (0,))
+    with pytest.raises(InputError, match=r"\(0, 1\)"):
+        delta.entry((0, 1), (0, 1))
+
+
+def _dump_by_entries(mat):
+    """Every entry in row-major order, nonzeros written as 'i j value'."""
+    lines = [f"{mat.shape[0]} {mat.shape[1]}\n"]
+    for i in range(mat.shape[0]):
+        for j in range(mat.shape[1]):
+            if mat[i, j]:
+                lines.append(f"{i} {j} {int(mat[i, j])}\n")
+    return "".join(lines)
+
+
+def test_dump_matches_an_entrywise_walk(small_corpus):
+    for X in small_corpus[:20]:
+        for k in range(-1, X.dim + 1):
+            for M in (lg.laplacian(X, k), lg.coboundary_matrix(X, k)):
+                assert M.dumps() == _dump_by_entries(M.mat)

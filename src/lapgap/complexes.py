@@ -9,11 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, SizeLimitError
 
 Simplex = tuple[int, ...]
+
+MAX_FACES = 100_000  # skeleton, join and build_z refuse a complex predicted to have more
+
+
+def check_face_count(dim: int, count: Callable[[], int], what: str) -> None:
+    """Refuse a complex of dimension dim with count() faces past MAX_FACES before it
+    is built; count() is not called once 2**(dim+1), a lower bound, is past it."""
+    if dim >= MAX_FACES.bit_length() or count() > MAX_FACES:
+        raise SizeLimitError(f"{what} would have over {MAX_FACES} faces, the constructor cap")
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -25,10 +35,6 @@ def simplex(vertices: Iterable[int]) -> Simplex:
         if a == b:
             raise InputError(f"duplicate vertex id {a} in face {vs}")
     return tuple(vs)
-
-
-def face_dim(sigma: Sequence[int]) -> int:
-    return len(sigma) - 1
 
 
 class SimplicialComplex:
@@ -162,9 +168,10 @@ def clique_complex(n: int, edges: Iterable[Sequence[int]]) -> SimplicialComplex:
 
 
 def skeleton(m: int, k: int) -> SimplicialComplex:
-    """k-dimensional skeleton of the full simplex on m+1 vertices."""
-    if not -1 <= k <= m:
-        raise InputError(f"skeleton dimension k={k} must satisfy -1 <= k <= m={m}")
+    """k-dimensional skeleton of the full simplex on m+1 vertices, k >= 0."""
+    if not 0 <= k <= m:
+        raise InputError(f"skeleton dimension k={k} must satisfy 0 <= k <= m={m}")
+    check_face_count(k, lambda: sum(comb(m + 1, i) for i in range(k + 2)), f"skeleton({m},{k})")
     faces = [
         c for size in range(k + 2) for c in combinations(range(m + 1), size)
     ]
@@ -178,6 +185,7 @@ def full_simplex(m: int) -> SimplicialComplex:
 
 def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
     """Join of X and Y; Y's vertex ids are shifted by X.n to stay disjoint."""
+    check_face_count(X.dim + Y.dim + 1, lambda: X.num_faces * Y.num_faces, f"join of {X} and {Y}")
     shift = X.n
     faces = []
     y_faces = [tuple(v + shift for v in t) for t in Y.all_faces()]

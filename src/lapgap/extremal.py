@@ -25,6 +25,7 @@ from .bounds import BOUND_TOL, gershgorin_lower_bound
 from .complexes import (
     Simplex,
     SimplicialComplex,
+    check_face_count,
     facets,
     from_missing_faces,
     full_simplex,
@@ -89,6 +90,7 @@ def _skeleton_power_join(d: int, m: int, r: int) -> SimplicialComplex:
 def build_z(d: int, t: int, r: int) -> SimplicialComplex:
     """The tight-family complex; every missing face has dimension exactly d."""
     params = ZParams(d, t, r)
+    check_face_count(params.dim, lambda: params.total_faces, f"Z({d},{t},{r})")
     return _skeleton_power_join(params.d, params.t, params.r)
 
 

@@ -10,9 +10,10 @@ The primitives stay pure: the context calls ``complexes.missing_faces``,
 ``operators.laplacian``, ``operators.coboundary_matrix``,
 ``spectral.eigenvalues`` and ``spectral.rank_mod_p`` through their
 modules, so a wrapper installed on those module attributes sees every
-search, assembly, eigensolve and rank.  A rank reads the dense
-coboundary's nonzeros once and reduces them as sparse rows, so it costs
-about as much as its fill-in, not its shape.
+search, assembly, eigensolve and rank.  ``operators.laplacian`` fills its
+stacked coboundaries from the facet tables, so the dense ``delta_k`` is
+built once per complex and k, for its rank, which reduces its nonzeros as
+sparse rows and costs about as much as its fill-in, not its shape.
 Cached arrays are read-only.
 """
 
@@ -64,7 +65,7 @@ def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
 
 def facet_index(X: SimplicialComplex, k: int) -> np.ndarray:
     """(|X(k)|, k+1) table: entry [i, j] is the position in ``X.faces(k-1)``
-    of the i-th k-face with its j-th vertex dropped, for 0 <= k <= dim.
+    of the i-th k-face with its j-th vertex dropped, -1 <= k <= dim + 1 (empty at the ends).
 
     This is the sparse form of the coboundary ``delta_{k-1}``: row i has
     the entry (-1)**j in column [i, j] and zeros elsewhere.
@@ -90,11 +91,7 @@ def degrees(X: SimplicialComplex, k: int) -> np.ndarray:
     cache = context(X).degrees
     deg = cache.get(k)
     if deg is None:
-        count = len(X.faces(k))
-        if k < X.dim:
-            deg = np.bincount(facet_index(X, k + 1).ravel(), minlength=count)
-        else:
-            deg = np.zeros(count, dtype=np.intp)
+        deg = np.bincount(facet_index(X, k + 1).ravel(), minlength=len(X.faces(k)))
         cache[k] = deg = _frozen(deg)
     return deg
 

@@ -1,23 +1,25 @@
 """Oriented cochain bases, coboundary matrices, and reduced Laplacian assembly.
 
-Every matrix returned is an exact int64 matrix.  :func:`laplacian` composes
-the coboundaries in float64 by BLAS, which is exact here: the coboundary
-entries are 0 and +-1, so every product and every partial sum is an integer
-no larger than the number of faces, far below 2**53.  The product is checked
-to be integral before it is cast to int64; a failed check raises
-:class:`~lapgap.errors.IntegrityError`.  The canonical orientation of every
-face is its sorted vertex order, so the boundary operator is realized as the
-plain matrix transpose of the coboundary.
+Every matrix returned is an exact int64 matrix.  :func:`laplacian` fills the
+stacked coboundaries in float64 from the facet tables that :mod:`lapgap.hodge`
+caches, and composes them by BLAS, exact here: entries of 0 and +-1 make every
+product and partial sum an integer far below 2**53.  The product is checked
+integral before the cast to int64, or :class:`~lapgap.errors.IntegrityError`
+is raised.  The dense coboundary is built once per complex and k, for its
+rank.  Faces are oriented by their sorted vertex order, so the boundary
+operator is the plain matrix transpose of the coboundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+from . import hodge
 from .complexes import Simplex, SimplicialComplex, degree, simplex
 from .errors import InputError, IntegrityError, SizeLimitError
 
@@ -30,7 +32,11 @@ class OrientedBasis:
 
     k: int
     simplices: tuple[Simplex, ...]
-    index: dict[Simplex, int]
+
+    @cached_property
+    def index(self) -> dict[Simplex, int]:
+        """Position of each face in ``simplices``, built on first use."""
+        return {s: i for i, s in enumerate(self.simplices)}
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -40,8 +46,7 @@ def oriented_basis(X: SimplicialComplex, k: int) -> OrientedBasis:
     """Basis of the k-cochain space; the single element () when k = -1."""
     if k < -1:
         raise InputError(f"dimension k={k} must be >= -1")
-    faces = X.faces(k)
-    return OrientedBasis(k, faces, {s: i for i, s in enumerate(faces)})
+    return OrientedBasis(k, X.faces(k))
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,18 @@ class OperatorMatrix:
         return buf.getvalue()
 
 
-def _check_cap(*bases: OrientedBasis) -> None:
-    for b in bases:
-        if len(b) > MAX_DENSE_BASIS:
+def _check_cap(X: SimplicialComplex, *dims: int) -> None:
+    for k in dims:
+        count = len(X.faces(k))
+        if count > MAX_DENSE_BASIS:
             raise SizeLimitError(
-                f"basis of dimension {b.k} has {len(b)} elements, over the dense cap {MAX_DENSE_BASIS}"
+                f"basis of dimension {k} has {count} elements, over the dense cap {MAX_DENSE_BASIS}"
             )
+
+
+def _facet_signs(k: int) -> np.ndarray:
+    """(-1)**j, j = 0..k: the coboundary entries of a k-face's facet-table row."""
+    return np.where(np.arange(k + 1) % 2, -1, 1)
 
 
 def sign(sigma: Sequence[int], tau: Sequence[int]) -> int:
@@ -114,49 +125,33 @@ def sign(sigma: Sequence[int], tau: Sequence[int]) -> int:
 
 
 def coboundary_matrix(X: SimplicialComplex, k: int) -> OperatorMatrix:
-    """Signed incidence matrix from k-faces (columns) to (k+1)-faces (rows).
-
-    Row i holds (-1)**j in the column of the i-th (k+1)-face with its j-th
-    vertex dropped, filled in one assignment from the facet-index table.
-    """
-    from . import hodge  # hodge builds on this module
-
+    """Signed incidence matrix from k-faces (columns) to (k+1)-faces (rows):
+    row i holds (-1)**j in the column of the i-th (k+1)-face with its j-th
+    vertex dropped, filled in one assignment from the facet-index table."""
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
-    rows = oriented_basis(X, k + 1)
-    cols = oriented_basis(X, k)
-    _check_cap(rows, cols)
+    _check_cap(X, k + 1, k)
+    rows, cols = oriented_basis(X, k + 1), oriented_basis(X, k)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if len(rows):
-        signs = np.where(np.arange(k + 2) % 2, -1, 1)
-        mat[np.arange(len(rows))[:, None], hodge.facet_index(X, k + 1)] = signs
+    mat[np.arange(len(rows))[:, None], hodge.facet_index(X, k + 1)] = _facet_signs(k + 1)
     return OperatorMatrix(rows, cols, mat)
 
 
-def _stacked_coboundaries(X: SimplicialComplex, k: int) -> tuple[OrientedBasis, np.ndarray]:
-    """The k-face basis and the float64 matrix [delta_k ; delta_{k-1}^T],
-    whose Gram matrix is L_k."""
-    up = coboundary_matrix(X, k)
-    blocks = [up.mat]
-    if k >= 0:
-        blocks.append(coboundary_matrix(X, k - 1).mat.T)
-    return up.cols, np.concatenate(blocks, dtype=np.float64)
-
-
 def laplacian(X: SimplicialComplex, k: int) -> OperatorMatrix:
-    """Reduced k-Laplacian assembled by composing coboundaries and transposes.
-
-    L_k = delta_k^T delta_k + delta_{k-1} delta_{k-1}^T is computed as one
-    float64 Gram product C^T C of the stacked coboundaries, then checked
-    integral and cast to int64 (see the module docstring for why this is
-    exact).
-    """
+    """Reduced k-Laplacian delta_k^T delta_k + delta_{k-1} delta_{k-1}^T, composed as the
+    float64 Gram product C^T C of C = [delta_k ; delta_{k-1}^T] filled from the facet
+    tables, then checked integral and cast to int64 (see the module docstring)."""
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
-    basis, stacked = _stacked_coboundaries(X, k)
+    _check_cap(X, k + 1, k, k - 1)
+    basis, up, down = oriented_basis(X, k), hodge.facet_index(X, k + 1), hodge.facet_index(X, k)
+    # the result first: freeing the float64 work then leaves no heap hole below it
+    mat = np.empty((len(basis), len(basis)), dtype=np.int64)
+    stacked = np.zeros((len(up) + len(X.faces(k - 1)), len(basis)))
+    stacked[np.arange(len(up))[:, None], up] = _facet_signs(k + 1)
+    stacked[len(up) + down, np.arange(len(basis))[:, None]] = _facet_signs(k)
     gram = stacked.T @ stacked
-    del stacked  # free the coboundaries before the cast adds an int64 copy
-    mat = gram.astype(np.int64)
+    np.copyto(mat, gram, casting="unsafe")
     if not np.array_equal(mat, gram):
         raise IntegrityError(f"k={k}: the float64 Laplacian product is not integral")
     return OperatorMatrix(basis, basis, mat)
@@ -213,8 +208,8 @@ def laplacian_entrywise(X: SimplicialComplex, k: int) -> OperatorMatrix:
     """
     if not 0 <= k <= X.dim:
         raise InputError(f"k={k} outside 0..{X.dim}")
+    _check_cap(X, k)
     basis = oriented_basis(X, k)
-    _check_cap(basis)
     m = len(basis)
     mat = np.zeros((m, m), dtype=np.int64)
     for i, s in enumerate(basis.simplices):
@@ -250,12 +245,10 @@ class BochnerSplit:
 
 def bochner_split(X: SimplicialComplex, k: int) -> BochnerSplit:
     """Split the k-Laplacian into a degree diagonal plus a signed-graph Laplacian."""
-    from . import hodge  # hodge builds on this module
-
     if not 0 <= k <= X.dim:
         raise InputError(f"k={k} outside 0..{X.dim}; the split needs k >= 0")
+    _check_cap(X, k)
     basis = oriented_basis(X, k)
-    _check_cap(basis)
     m = len(basis)
 
     edges: list[tuple[int, int]] = []
@@ -295,8 +288,6 @@ def offdiag_abs_row_sum(
     sum(deg(tau) over facets tau of sigma) - (k+1)(deg(sigma)+1).
     The two must agree for every face.
     """
-    from . import hodge  # hodge builds on this module
-
     if k < 0:
         raise InputError("row sums need k >= 0")
     s = simplex(sigma)

@@ -84,7 +84,8 @@ def test_criterion_1_tight_family_grid():
 def test_criterion_2_skeleton_spectra():
     for n in range(2, 8):
         for k in range(-1, n):
-            X = lg.skeleton(n - 1, k)
+            # skeleton() refuses k = -1; the (-1)-skeleton is the complex induced on no vertex
+            X = lg.skeleton(n - 1, k) if k >= 0 else lg.induced(lg.full_simplex(n - 1), ())
             for i in range(-1, k + 1):
                 solved = lg.eigenvalues(lg.laplacian(X, i))
                 closed = lg.skeleton_spectrum(n, k, i)

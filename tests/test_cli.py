@@ -270,6 +270,20 @@ def test_bad_tol_and_budget_exit_2(capsys, argv):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("expr", [
+    "skeleton(99999999999999999999,1)",
+    "skeleton(30,15)",
+    "Z(1,40,1)",
+    "join(skeleton(9,9),skeleton(9,9))",
+    "skeleton(3,-1)",
+    "join(simplex(0),skeleton(3,-1))",
+])
+def test_oversized_or_negative_constructor_exits_2(capsys, expr):
+    code, out, err = run(capsys, "build", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("probe", "--d", "2", "--n", "7"),
     ("probe", "--d", "3", "--n", "6"),

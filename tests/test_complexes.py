@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapgap as lg
-from lapgap.errors import DomainError, InputError
+from lapgap import complexes
+from lapgap.errors import DomainError, InputError, SizeLimitError
 
 from conftest import random_complex
 
@@ -147,16 +148,51 @@ def test_skeleton_examples():
 
 def test_skeleton_counts():
     for m in range(1, 6):
-        for k in range(-1, m + 1):
+        for k in range(0, m + 1):
             X = lg.skeleton(m, k)
             for kk in range(-1, k + 1):
                 assert len(X.faces(kk)) == comb(m + 1, kk + 1)
-            assert X.dim == max(k, -1)
+            assert X.dim == k
 
 
 def test_skeleton_rejects_k_above_m():
     with pytest.raises(InputError):
         lg.skeleton(2, 3)
+
+
+def test_skeleton_rejects_negative_k():
+    # a (-1)-skeleton would have no vertices, so a join with it would drop them
+    for m in (-1, 0, 3):
+        with pytest.raises(InputError, match="0 <= k"):
+            lg.skeleton(m, -1)
+
+
+def test_constructors_refuse_over_the_face_cap_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built before the cap was checked")
+
+    X = lg.full_simplex(9)
+    monkeypatch.setattr(complexes.SimplicialComplex, "__init__", refuse)
+    for build, what in (
+        (lambda: lg.skeleton(10**20, 1), "skeleton"),
+        (lambda: lg.skeleton(30, 15), "skeleton"),
+        (lambda: lg.build_z(1, 40, 1), "Z"),
+        (lambda: lg.build_z(1, 10**20, 1), "Z"),
+        (lambda: lg.build_z(10**20, 1, 1), "Z"),
+        (lambda: lg.join(X, X), "dim=9, faces=1024"),
+    ):
+        with pytest.raises(SizeLimitError, match=what):
+            build()
+
+
+def test_the_face_cap_admits_exactly_its_count(monkeypatch):
+    monkeypatch.setattr(complexes, "MAX_FACES", 8)
+    assert lg.skeleton(2, 2).num_faces == 8
+    assert lg.join(lg.skeleton(2, 0), lg.skeleton(0, 0)).num_faces == 8
+    with pytest.raises(SizeLimitError):
+        lg.skeleton(3, 1)  # 1 + 4 + 6 faces
+    with pytest.raises(SizeLimitError):
+        lg.join(lg.skeleton(2, 1), lg.skeleton(0, 0))  # 7 * 2 faces
 
 
 # --- join ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapgap as lg
+from lapgap import hodge
 from lapgap.errors import InputError, SizeLimitError
 
 from conftest import random_complex
@@ -257,10 +258,17 @@ def test_spectrum_invariant_under_relabeling():
             assert lg.multiset_close(a, b, 1e-8)
 
 
-def test_dense_cap_refuses_large_bases():
+def test_dense_cap_refuses_large_bases(monkeypatch):
+    def refuse(X, k):
+        raise AssertionError("facet table read before the cap was checked")
+
+    monkeypatch.setattr(hodge, "facet_index", refuse)
     X = lg.skeleton(14, 7)  # C(15,8) = 6435 faces in the top dimension
     with pytest.raises(SizeLimitError):
         lg.laplacian(X, 7)
+    # |X_4| = 3003 and |X_3| = 1365 fit; only |X_5| = C(15,6) = 5005 is over
+    with pytest.raises(SizeLimitError, match="dimension 5 has 5005"):
+        lg.laplacian(lg.skeleton(14, 5), 4)
 
 
 def test_matrix_dump_format():

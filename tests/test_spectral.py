@@ -96,7 +96,8 @@ def test_skeleton_spectrum_frozen_cases():
 def test_skeleton_spectrum_matches_eigensolver():
     for n in range(2, 7):
         for k in range(-1, n):
-            X = lg.skeleton(n - 1, k)
+            # skeleton() refuses k = -1; the (-1)-skeleton is the complex induced on no vertex
+            X = lg.skeleton(n - 1, k) if k >= 0 else lg.induced(lg.full_simplex(n - 1), ())
             for i in range(-1, k + 1):
                 closed = lg.skeleton_spectrum(n, k, i)
                 solved = lg.eigenvalues(lg.laplacian(X, i))

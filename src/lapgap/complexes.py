@@ -16,7 +16,7 @@ from .errors import DomainError, InputError, SizeLimitError
 
 Simplex = tuple[int, ...]
 
-MAX_FACES = 100_000  # skeleton, join and build_z refuse a complex predicted to have more
+MAX_FACES = 100_000  # the constructors refuse a complex predicted to have more
 
 
 def check_face_count(dim: int, count: Callable[[], int], what: str) -> None:
@@ -45,12 +45,13 @@ class SimplicialComplex:
     :func:`link` and :func:`induced` may omit some of them while keeping the
     ambient ids of the parent complex.
 
-    ``_hodge`` holds the complex's :class:`~lapgap.hodge.HodgeContext`,
-    created on first use: the missing-face report, degree vectors,
-    Laplacians, spectra and ranks, each computed once and freed with the
-    complex.  Two threads that fill the same entry at once both compute it
-    and one result wins; the results are equal, so the race is benign.  The
-    context takes no part in equality or hashing.
+    ``_hodge`` holds the complex's :class:`~lapgap.hodge.HodgeContext`, one
+    dict created on first use and freed with the complex.  Each memoized
+    function of :mod:`lapgap.hodge` (missing faces, facet tables, degree
+    vectors, Laplacians, spectra, ranks) keeps its value there under
+    ``(name, *k)``, computed once.  Two threads that fill the same entry at
+    once both compute it and one result wins; the results are equal, so the
+    race is benign.  The context takes no part in equality or hashing.
     """
 
     __slots__ = ("n", "_by_dim", "_faces", "_dim", "_hodge")
@@ -128,14 +129,18 @@ def from_facets(n: int, facets: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Downward closure of the given facets plus all singletons and the empty face."""
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
+    what = f"a complex on {n} vertices"
+    check_face_count(0, lambda: n + 1, what)
     closure: set[Simplex] = {()}
     closure.update((v,) for v in range(n))
     for facet in facets:
         s = simplex(facet)
         if s and s[-1] >= n:
             raise InputError(f"facet {s} references vertex >= n={n}")
+        check_face_count(len(s) - 1, lambda: 2 ** len(s), f"a facet on {len(s)} vertices")
         for r in range(len(s) + 1):
             closure.update(combinations(s, r))
+        check_face_count(0, lambda: len(closure), what)
     return SimplicialComplex(n, closure)
 
 
@@ -143,6 +148,8 @@ def clique_complex(n: int, edges: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Complex whose faces are the cliques of the graph (n, edges)."""
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
+    what = f"a complex on {n} vertices"
+    check_face_count(0, lambda: n + 1, what)
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for e in edges:
         u, w = (int(x) for x in e)
@@ -158,6 +165,7 @@ def clique_complex(n: int, edges: Iterable[Sequence[int]]) -> SimplicialComplex:
         faces.update(level)
         nxt = []
         for c in level:
+            check_face_count(0, lambda: len(faces) + len(nxt), what)
             common = set(range(c[-1] + 1, n))
             for v in c:
                 common &= adj[v]
@@ -303,6 +311,8 @@ def from_missing_faces(n: int, missing: Iterable[Sequence[int]]) -> SimplicialCo
             raise InputError(f"missing face {f} references vertex >= n={n}")
     if () in mins:
         return SimplicialComplex(n, ())
+    what = f"a complex on {n} vertices"
+    check_face_count(0, lambda: n + 1, what)
     # bitmasks of the given faces, by their largest vertex
     by_top: list[list[int]] = [[] for _ in range(n)]
     for f in mins:
@@ -312,6 +322,7 @@ def from_missing_faces(n: int, missing: Iterable[Sequence[int]]) -> SimplicialCo
     while level:
         nxt = []
         for c, mask in level:
+            check_face_count(0, lambda: len(faces) + len(nxt), what)
             for v in range(c[-1] + 1 if c else 0, n):
                 grown = mask | 1 << v
                 if all(m & ~grown for m in by_top[v]):

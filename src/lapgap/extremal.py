@@ -156,9 +156,14 @@ def verify_z_family(d: int, t: int, r: int) -> ZVerifyReport:
     the eigensolved gap is more than BOUND_TOL off a target that holds.  The
     join route sums small integer floats exactly, so it is compared with
     ``==``.  Both routes are independent of the closed forms and of each
-    other.  A Z with more than Z_FACE_CAP faces is refused.
+    other.  A Z with more than Z_FACE_CAP faces is refused, by its dimension
+    alone when 2**(dim+1), a lower bound on the count, is past the cap.
     """
     params = ZParams(d, t, r)
+    if params.dim >= Z_FACE_CAP.bit_length():
+        raise SizeLimitError(
+            f"Z({d},{t},{r}) has dimension {params.dim}, so more faces than the cap {Z_FACE_CAP}"
+        )
     if params.total_faces > Z_FACE_CAP:
         raise SizeLimitError(
             f"Z({d},{t},{r}) has {params.total_faces} faces (dimension {params.dim}), "
@@ -193,11 +198,9 @@ def canonical_equality_complex(n: int, k: int) -> SimplicialComplex:
     Join of n-k-1 two-point complexes with a full simplex on 2(k+1)-n
     vertices; either part may be empty, but not both.
     """
-    m = n - k - 1
-    r = 2 * (k + 1) - n
-    if m < 0 or r < 0 or n < 1:
+    if n < 1 or not k + 1 <= n <= 2 * (k + 1):
         raise InputError(f"no canonical complex for n={n}, k={k} (needs 2(k+1) >= n >= k+1)")
-    return _skeleton_power_join(1, m, r)
+    return _canonical_for(n, k, 1)
 
 
 @dataclass(frozen=True)

@@ -299,9 +299,6 @@ class SpectralProfile:
 def spectral_profile(X: SimplicialComplex) -> SpectralProfile:
     rows = []
     for k in range(-1, X.dim + 1):
-        spec = hodge.spectrum(X, k)
-        mu = spec.min()
-        if mu < -PSD_TOL:
-            raise IntegrityError(f"Laplacian at k={k} has eigenvalue {mu}; not PSD")
-        rows.append(ProfileRow(k=k, gap=mu, betti=betti(X, k), spectrum=spec))
+        rows.append(ProfileRow(k=k, gap=spectral_gap(X, k), betti=betti(X, k),
+                               spectrum=hodge.spectrum(X, k)))
     return SpectralProfile(n=X.n, dim=X.dim, rows=tuple(rows))

@@ -261,6 +261,7 @@ def test_a_closed_stdout_ends_quietly(argv, codes):
     ("verify-z", "0", "2", "1"),
     ("verify-z", "2", "2", "-1"),
     ("verify-z", "3", "3", "1"),
+    ("verify-z", "1", "100000000", "1"),  # refused by its dimension, before its face count
     ("probe", "--d", "2", "--n", "5", "--budget", "-1"),
     ("probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "-3"),
 ])
@@ -280,6 +281,19 @@ def test_bad_tol_and_budget_exit_2(capsys, argv):
 ])
 def test_oversized_or_negative_constructor_exits_2(capsys, expr):
     code, out, err = run(capsys, "build", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ctor,text", [
+    ("file", "n 99999999999\n0 1\n"),
+    ("file", "n 40\n" + " ".join(str(v) for v in range(40)) + "\n"),
+    ("clique", "n 99999999999\n0 1\n"),
+])
+def test_oversized_facet_or_edge_file_exits_2(capsys, tmp_path, ctor, text):
+    path = tmp_path / "x.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "build", f"{ctor}({path})")
     assert code == 2 and out == ""
     assert err.startswith("input error:") and err.count("\n") == 1
 

@@ -180,6 +180,13 @@ def test_constructors_refuse_over_the_face_cap_before_building(monkeypatch):
         (lambda: lg.build_z(1, 10**20, 1), "Z"),
         (lambda: lg.build_z(10**20, 1, 1), "Z"),
         (lambda: lg.join(X, X), "dim=9, faces=1024"),
+        (lambda: lg.from_facets(10**11, [(0, 1)]), "on 100000000000 vertices"),
+        (lambda: lg.from_facets(40, [range(40)]), "facet on 40 vertices"),
+        (lambda: lg.from_facets(30, combinations(range(30), 5)), "on 30 vertices"),
+        (lambda: lg.clique_complex(10**11, [(0, 1)]), "on 100000000000 vertices"),
+        (lambda: lg.clique_complex(20, combinations(range(20), 2)), "on 20 vertices"),  # K_20
+        (lambda: lg.from_missing_faces(10**11, [(0, 1)]), "on 100000000000 vertices"),
+        (lambda: lg.from_missing_faces(20, []), "on 20 vertices"),
     ):
         with pytest.raises(SizeLimitError, match=what):
             build()
@@ -193,6 +200,19 @@ def test_the_face_cap_admits_exactly_its_count(monkeypatch):
         lg.skeleton(3, 1)  # 1 + 4 + 6 faces
     with pytest.raises(SizeLimitError):
         lg.join(lg.skeleton(2, 1), lg.skeleton(0, 0))  # 7 * 2 faces
+    assert lg.from_facets(3, [(0, 1, 2)]).num_faces == 8
+    assert lg.clique_complex(3, [(0, 1), (0, 2), (1, 2)]).num_faces == 8
+    assert lg.from_missing_faces(3, []).num_faces == 8
+    assert lg.from_facets(7, []).num_faces == 8
+    for build in (
+        lambda: lg.from_facets(8, []),  # 1 + 8 faces
+        lambda: lg.from_facets(4, [(0, 1, 2, 3)]),  # a facet of 16 faces
+        lambda: lg.from_facets(4, [(0, 1, 2), (3,)]),  # 8 faces, then 9
+        lambda: lg.clique_complex(4, [(0, 1), (0, 2), (1, 2)]),  # 1 + 4 + 3 + 1 faces
+        lambda: lg.from_missing_faces(4, [(2, 3)]),  # 16 - 4 faces
+    ):
+        with pytest.raises(SizeLimitError):
+            build()
 
 
 # --- join ----------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_non_integral_product_raises(monkeypatch):
         lg.laplacian(lg.skeleton(2, 1), 1)
 
 
-def test_context_dies_with_its_complex():
+def test_context_dies_with_its_complex(small_corpus):
     X = fresh(lg.skeleton(3, 1))
     assert X._hodge is None
     lg.spectral_gap(X, 1)
@@ -117,3 +117,12 @@ def test_context_dies_with_its_complex():
     assert Y == X and hash(Y) == hash(X) and Y._hodge is None
     with pytest.raises(ValueError):
         hodge.laplacian(X, 1).mat[0, 0] = 0  # cached arrays are read-only
+    for X in small_corpus:
+        assert hodge.missing_faces(X) is hodge.missing_faces(X)
+        for k in range(-1, X.dim + 1):
+            gets = [hodge.facet_index, hodge.degrees, lambda X, k: hodge.laplacian(X, k).mat]
+            if k >= 0:
+                gets.append(hodge.facet_degree_sums)
+            for get in gets:
+                arr = get(X, k)
+                assert arr is get(X, k) and not arr.flags.writeable

@@ -52,14 +52,12 @@ from .extremal import (
 from .operators import (
     BochnerSplit,
     OperatorMatrix,
-    OrientedBasis,
     bochner_split,
     coboundary_matrix,
     laplacian,
     laplacian_entry,
     laplacian_entrywise,
     offdiag_abs_row_sum,
-    oriented_basis,
     sign,
 )
 from .spectral import (

@@ -193,19 +193,16 @@ def _cmd_build(args, out) -> int:
 
 def _cmd_spectrum(args, out) -> int:
     X = parse_constructor(args.expr)
-    ks = set(_k_list(X, args.k))
-    profile = spectral.spectral_profile(X)
     rows = [
         {
-            "k": row.k,
-            "gap": _fnum(row.gap),
-            "betti": row.betti,
-            "spectrum": [_fnum(v) for v in row.spectrum.values],
+            "k": k,
+            "gap": _fnum(spectral.spectral_gap(X, k)),
+            "betti": spectral.betti(X, k),
+            "spectrum": [_fnum(v) for v in hodge.spectrum(X, k).values],
         }
-        for row in profile.rows
-        if row.k in ks
+        for k in _k_list(X, args.k)
     ]
-    _emit({"n": profile.n, "dim": profile.dim, "profile": rows}, args.format, out)
+    _emit({"n": X.n, "dim": X.dim, "profile": rows}, args.format, out)
     return 0
 
 

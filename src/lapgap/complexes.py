@@ -45,8 +45,8 @@ class SimplicialComplex:
     :func:`link` and :func:`induced` may omit some of them while keeping the
     ambient ids of the parent complex.
 
-    ``_hodge`` holds the complex's :class:`~lapgap.hodge.HodgeContext`, one
-    dict created on first use and freed with the complex.  Each memoized
+    ``_hodge`` holds the complex's Hodge context, one dict created on first
+    use and freed with the complex.  Each memoized
     function of :mod:`lapgap.hodge` (missing faces, facet tables, degree
     vectors, Laplacians, spectra, ranks) keeps its value there under
     ``(name, *k)``, computed once.  Two threads that fill the same entry at
@@ -278,9 +278,10 @@ def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
     tau + (v,) for the face tau = sigma without its largest vertex v.  The
     search therefore extends each face tau by each larger id v and keeps the
     candidate when it is not a face but its other facets are: the work grows
-    with the number of faces times n, not with 2^n.  Ids of the ambient range
-    that are not vertices (as in subcomplexes from :func:`link` and
-    :func:`induced`) come out as missing singletons.
+    with the number of faces times n, not with 2^n.  The search stops with
+    :class:`SizeLimitError` once it has found more than MAX_FACES.  Ids of
+    the ambient range that are not vertices (as in subcomplexes from
+    :func:`link` and :func:`induced`) come out as missing singletons.
     """
     faces = X._faces
     out: list[Simplex] = []
@@ -289,6 +290,8 @@ def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
             c = tau + (v,)
             if c not in faces and all(c[:i] + c[i + 1 :] in faces for i in range(len(tau))):
                 out.append(c)
+                if len(out) > MAX_FACES:
+                    raise SizeLimitError(f"over {MAX_FACES} minimal non-faces, the search cap")
     out.sort(key=lambda f: (len(f), f))
     h = max((len(f) - 1 for f in out), default=None)
     return MissingFaceReport(tuple(out), h)

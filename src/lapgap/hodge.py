@@ -8,14 +8,16 @@ which keeps ``fill(X, *k)`` in the complex's ``_hodge`` dict under the key
 dies with the complex; no cache exists at module level.  No fill returns
 None, so a missing or None entry means "not filled yet".
 
-The primitives stay pure: the fills call ``complexes.missing_faces``,
-``operators.laplacian``, ``operators.coboundary_matrix``,
-``spectral.eigenvalues`` and ``spectral.rank_mod_p`` through their
-modules, so a wrapper installed on those module attributes sees every
-search, assembly, eigensolve and rank.  ``operators.laplacian`` fills its
-stacked coboundaries from the facet tables, so the dense ``delta_k`` is
-built once per complex and k, for its rank, which reduces its nonzeros as
-sparse rows and costs about as much as its fill-in, not its shape.
+The fills call ``complexes.missing_faces``, ``operators.laplacian``,
+``operators.coboundary_matrix``, ``spectral.eigenvalues`` and
+``spectral.rank_mod_p`` through their modules, so a wrapper installed on
+those module attributes sees every search, assembly, eigensolve and rank.
+Two of those primitives read this module in turn: ``operators.laplacian``
+and ``operators.coboundary_matrix`` fill their matrices from
+:func:`facet_index`, so they share the complex's facet tables.  The dense
+``delta_k`` is built once per complex and k, for its rank, which reduces
+its nonzeros as sparse rows and costs about as much as its fill-in, not
+its shape.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ from . import complexes, operators, spectral
 from .complexes import MissingFaceReport, SimplicialComplex
 
 
-class HodgeContext(dict):
-    """The filled entries of one complex, keyed by (fill name, *k)."""
-
-    __slots__ = ()
-
-
 def _memo(fill):
     """Keep fill(X, *k) in X's context under (fill.__name__, *k), filled once;
     an ndarray, or the ``.mat`` of an OperatorMatrix, is made read-only first."""
@@ -43,7 +39,7 @@ def _memo(fill):
     def get(X, *k):
         ctx = X._hodge
         if ctx is None:
-            ctx = X._hodge = HodgeContext()
+            ctx = X._hodge = {}
         key = (name, *k)
         value = ctx.get(key)
         if value is None:

@@ -1,7 +1,9 @@
-"""Oriented cochain bases, coboundary matrices, and reduced Laplacian assembly.
+"""Coboundary matrices and reduced Laplacian assembly on the complex's face tuples.
 
-Every matrix returned is an exact int64 matrix.  :func:`laplacian` fills the
-stacked coboundaries in float64 from the facet tables that :mod:`lapgap.hodge`
+Every matrix returned is an exact int64 matrix whose rows and columns are
+indexed by the lex-ordered tuples ``X.faces(k)`` themselves; a face's
+position is found by bisection.  :func:`laplacian` fills the stacked
+coboundaries in float64 from the facet tables that :mod:`lapgap.hodge`
 caches, and composes them by BLAS, exact here: entries of 0 and +-1 make every
 product and partial sum an integer far below 2**53.  The product is checked
 integral before the cast to int64, or :class:`~lapgap.errors.IntegrityError`
@@ -12,8 +14,8 @@ operator is the plain matrix transpose of the coboundary.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import IO, Iterator, Sequence
 
@@ -26,35 +28,21 @@ from .errors import InputError, IntegrityError, SizeLimitError
 MAX_DENSE_BASIS = 5000
 
 
-@dataclass(frozen=True)
-class OrientedBasis:
-    """Lexicographically ordered k-faces with their positions; reproducible."""
-
-    k: int
-    simplices: tuple[Simplex, ...]
-
-    @cached_property
-    def index(self) -> dict[Simplex, int]:
-        """Position of each face in ``simplices``, built on first use."""
-        return {s: i for i, s in enumerate(self.simplices)}
-
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-
-def oriented_basis(X: SimplicialComplex, k: int) -> OrientedBasis:
-    """Basis of the k-cochain space; the single element () when k = -1."""
-    if k < -1:
-        raise InputError(f"dimension k={k} must be >= -1")
-    return OrientedBasis(k, X.faces(k))
+def _position(faces: tuple[Simplex, ...], sigma: Sequence[int], side: str) -> int:
+    """Index of sigma in the lex-ordered ``faces``, found by bisection."""
+    s = simplex(sigma)
+    i = bisect_left(faces, s)
+    if i == len(faces) or faces[i] != s:
+        raise InputError(f"{s} is not a {side} face of this matrix")
+    return i
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Integer matrix indexed by oriented face bases on rows and columns."""
+    """Integer matrix whose rows and columns are indexed by ``X.faces(k)`` tuples."""
 
-    rows: OrientedBasis
-    cols: OrientedBasis
+    rows: tuple[Simplex, ...]
+    cols: tuple[Simplex, ...]
     mat: np.ndarray
 
     @property
@@ -62,11 +50,8 @@ class OperatorMatrix:
         return self.mat.shape
 
     def entry(self, sigma: Sequence[int], tau: Sequence[int]) -> int:
-        s, t = simplex(sigma), simplex(tau)
-        for face, basis in ((s, self.rows), (t, self.cols)):
-            if face not in basis.index:
-                raise InputError(f"{face} is not in the {basis.k}-face basis of this matrix")
-        return int(self.mat[self.rows.index[s], self.cols.index[t]])
+        i, j = _position(self.rows, sigma, "row"), _position(self.cols, tau, "column")
+        return int(self.mat[i, j])
 
     def dump(self, stream: IO[str]) -> None:
         """Plain-text dump: 'rows cols' then 'i j value' per nonzero, row-major
@@ -131,7 +116,7 @@ def coboundary_matrix(X: SimplicialComplex, k: int) -> OperatorMatrix:
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
     _check_cap(X, k + 1, k)
-    rows, cols = oriented_basis(X, k + 1), oriented_basis(X, k)
+    rows, cols = X.faces(k + 1), X.faces(k)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
     mat[np.arange(len(rows))[:, None], hodge.facet_index(X, k + 1)] = _facet_signs(k + 1)
     return OperatorMatrix(rows, cols, mat)
@@ -144,7 +129,7 @@ def laplacian(X: SimplicialComplex, k: int) -> OperatorMatrix:
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
     _check_cap(X, k + 1, k, k - 1)
-    basis, up, down = oriented_basis(X, k), hodge.facet_index(X, k + 1), hodge.facet_index(X, k)
+    basis, up, down = X.faces(k), hodge.facet_index(X, k + 1), hodge.facet_index(X, k)
     # the result first: freeing the float64 work then leaves no heap hole below it
     mat = np.empty((len(basis), len(basis)), dtype=np.int64)
     stacked = np.zeros((len(up) + len(X.faces(k - 1)), len(basis)))
@@ -157,28 +142,27 @@ def laplacian(X: SimplicialComplex, k: int) -> OperatorMatrix:
     return OperatorMatrix(basis, basis, mat)
 
 
-def _shared_facet_pairs(
-    X: SimplicialComplex, k: int, basis: OrientedBasis
-) -> Iterator[tuple[int, int, Simplex]]:
-    """Unordered pairs of k-faces meeting in a (k-1)-face, with that face.
+def _signed_pairs(X: SimplicialComplex, k: int) -> Iterator[tuple[int, int, int, int]]:
+    """The off-diagonal nonzeros of L_k as ``(i, j, sign_i, sign_j)``, i < j.
 
-    Every pair with |intersection| = k is produced exactly once, grouped by
-    the common face.
+    Two k-faces at positions i, j of ``X.faces(k)`` give one exactly when they
+    meet in a (k-1)-face rho and their union is not a face; the entry is
+    sign(s_i, rho) * sign(s_j, rho).  The cofaces of each rho are found by
+    probing vertices, not read from the facet tables, so the signed graph
+    this walk yields does not depend on :mod:`lapgap.hodge`.  Each pair
+    meets in one rho and comes out once.
     """
-    verts = X.vertices()
+    faces, verts = X.faces(k), X.vertices()
     for rho in X.faces(k - 1):
         rset = set(rho)
-        cof = []
-        for v in verts:
-            if v in rset:
-                continue
-            eta = tuple(sorted(rho + (v,)))
-            idx = basis.index.get(eta)
-            if idx is not None:
-                cof.append(idx)
-        cof.sort()
-        for i, j in combinations(cof, 2):
-            yield i, j, rho
+        cof = sorted(
+            (bisect_left(faces, eta), eta)
+            for eta in (tuple(sorted(rho + (v,))) for v in verts if v not in rset)
+            if eta in X
+        )
+        for (i, s), (j, t) in combinations(cof, 2):
+            if tuple(sorted(set(s) | set(t))) not in X:
+                yield i, j, sign(s, rho), sign(t, rho)
 
 
 def laplacian_entry(X: SimplicialComplex, sigma: Sequence[int], tau: Sequence[int]) -> int:
@@ -209,19 +193,12 @@ def laplacian_entrywise(X: SimplicialComplex, k: int) -> OperatorMatrix:
     if not 0 <= k <= X.dim:
         raise InputError(f"k={k} outside 0..{X.dim}")
     _check_cap(X, k)
-    basis = oriented_basis(X, k)
-    m = len(basis)
-    mat = np.zeros((m, m), dtype=np.int64)
-    for i, s in enumerate(basis.simplices):
+    basis = X.faces(k)
+    mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for i, s in enumerate(basis):
         mat[i, i] = degree(X, s) + k + 1
-    for i, j, rho in _shared_facet_pairs(X, k, basis):
-        s, t = basis.simplices[i], basis.simplices[j]
-        union = tuple(sorted(set(s) | set(t)))
-        if union in X:
-            continue
-        val = sign(s, rho) * sign(t, rho)
-        mat[i, j] = val
-        mat[j, i] = val
+    for i, j, si, sj in _signed_pairs(X, k):
+        mat[i, j] = mat[j, i] = si * sj
     return OperatorMatrix(basis, basis, mat)
 
 
@@ -239,7 +216,7 @@ class BochnerSplit:
     edges: tuple[tuple[int, int], ...]
 
     @property
-    def basis(self) -> OrientedBasis:
+    def basis(self) -> tuple[Simplex, ...]:
         return self.D.rows
 
 
@@ -248,21 +225,10 @@ def bochner_split(X: SimplicialComplex, k: int) -> BochnerSplit:
     if not 0 <= k <= X.dim:
         raise InputError(f"k={k} outside 0..{X.dim}; the split needs k >= 0")
     _check_cap(X, k)
-    basis = oriented_basis(X, k)
-    m = len(basis)
-
-    edges: list[tuple[int, int]] = []
-    entries: list[tuple[int, int, int, int]] = []  # (i, j, sign_i, sign_j)
-    for i, j, rho in _shared_facet_pairs(X, k, basis):
-        s, t = basis.simplices[i], basis.simplices[j]
-        union = tuple(sorted(set(s) | set(t)))
-        if union in X:
-            continue
-        entries.append((i, j, sign(s, rho), sign(t, rho)))
-        edges.append((i, j))
-
-    H = np.zeros((m, len(edges)), dtype=np.int64)
-    for e, (i, j, si, sj) in enumerate(entries):
+    basis = X.faces(k)
+    pairs = list(_signed_pairs(X, k))
+    H = np.zeros((len(basis), len(pairs)), dtype=np.int64)
+    for e, (i, j, si, sj) in enumerate(pairs):
         H[i, e] = si
         H[j, e] = sj
     K = H @ H.T
@@ -274,7 +240,7 @@ def bochner_split(X: SimplicialComplex, k: int) -> BochnerSplit:
         D=OperatorMatrix(basis, basis, D),
         K=OperatorMatrix(basis, basis, K),
         H=H,
-        edges=tuple(edges),
+        edges=tuple((i, j) for i, j, _, _ in pairs),
     )
 
 
@@ -294,7 +260,7 @@ def offdiag_abs_row_sum(
     if s not in X or len(s) != k + 1:
         raise InputError(f"{s} is not a {k}-face of the complex")
     L = hodge.laplacian(X, k)
-    i = L.rows.index[s]
+    i = bisect_left(L.rows, s)
     direct = int(np.abs(L.mat[i]).sum() - abs(L.mat[i, i]))
     from_degrees = int(hodge.facet_degree_sums(X, k)[i] - (k + 1) * (hodge.degrees(X, k)[i] + 1))
     return direct, from_degrees

@@ -119,12 +119,12 @@ def test_criterion_4_exact_identities(corpus, corpus_d):
         for k in range(-1, X.dim):
             assert not (cob[k + 1] @ cob[k]).any(), "coboundary composition"
         for k in range(0, X.dim + 1):
-            basis = lg.oriented_basis(X, k)
+            basis = X.faces(k)
             L = lg.laplacian(X, k).mat
             assert np.array_equal(L, lg.laplacian_entrywise(X, k).mat)
 
-            deg = {s: lg.degree(X, s) for s in basis.simplices}
-            for i, s in enumerate(basis.simplices):
+            deg = {s: lg.degree(X, s) for s in basis}
+            for i, s in enumerate(basis):
                 facet_deg = sum(
                     lg.degree(X, s[:j] + s[j + 1 :]) for j in range(len(s))
                 )

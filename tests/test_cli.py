@@ -84,6 +84,20 @@ def test_spectrum_single_k(capsys):
     assert obj["profile"][0]["spectrum"] == [2.0, 2.0, 4.0, 4.0]
 
 
+def test_spectrum_single_k_solves_one_laplacian(capsys, monkeypatch):
+    solved = []
+    eigenvalues = lg.spectral.eigenvalues
+
+    def counting(M):
+        solved.append(M.shape)
+        return eigenvalues(M)
+
+    monkeypatch.setattr(lg.spectral, "eigenvalues", counting)
+    code, out, _ = run(capsys, "spectrum", "skeleton(4,2)", "--k", "1")
+    assert code == 0 and [row["k"] for row in json.loads(out)["profile"]] == [1]
+    assert solved == [(10, 10)]
+
+
 def test_gap_subcommand(capsys):
     code, out, _ = run(capsys, "gap", "Z(1,2,1)", "--k", "all")
     assert code == 0
@@ -294,6 +308,15 @@ def test_oversized_facet_or_edge_file_exits_2(capsys, tmp_path, ctor, text):
     path = tmp_path / "x.txt"
     path.write_text(text)
     code, out, err = run(capsys, "build", f"{ctor}({path})")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["missing", "bound"])
+def test_too_many_missing_faces_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "x.txt"
+    path.write_text("n 20000\n")  # 20000 isolated vertices: every edge is a missing face
+    code, out, err = run(capsys, command, f"file({path})")
     assert code == 2 and out == ""
     assert err.startswith("input error:") and err.count("\n") == 1
 

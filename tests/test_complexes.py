@@ -346,6 +346,15 @@ def test_missing_faces_of_subcomplexes_list_left_out_ids():
     assert lg.missing_faces(lg.induced(X, ())).missing == tuple((v,) for v in range(5))
 
 
+def test_missing_face_search_stops_past_the_cap(monkeypatch):
+    X = c5()  # built before the cap, which the constructors share, is lowered
+    monkeypatch.setattr(complexes, "MAX_FACES", 5)
+    assert len(lg.missing_faces(X).missing) == 5  # the five non-edges
+    monkeypatch.setattr(complexes, "MAX_FACES", 4)
+    with pytest.raises(SizeLimitError, match="minimal non-faces"):
+        lg.missing_faces(X)
+
+
 @st.composite
 def complexes_up_to_ten(draw):
     """Facet closures on up to 10 ids, half of them cut down to a link or

@@ -53,7 +53,7 @@ def test_profiles_assemble_and_solve_each_laplacian_once(small_corpus, monkeypat
         return laplacian(X, k)
 
     def counting_eigenvalues(M, *args, **kwargs):
-        solved[M.rows.k] += 1
+        solved[len(M.rows[0]) - 1] += 1
         return eigenvalues(M, *args, **kwargs)
 
     def counting_coboundary(X, k):
@@ -112,7 +112,7 @@ def test_context_dies_with_its_complex(small_corpus):
     X = fresh(lg.skeleton(3, 1))
     assert X._hodge is None
     lg.spectral_gap(X, 1)
-    assert isinstance(X._hodge, hodge.HodgeContext)
+    assert type(X._hodge) is dict
     Y = fresh(X)
     assert Y == X and hash(Y) == hash(X) and Y._hodge is None
     with pytest.raises(ValueError):

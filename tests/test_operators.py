@@ -106,9 +106,9 @@ def test_coboundary_matches_per_entry_signs(small_corpus):
         for k in range(-1, X.dim + 1):
             M = lg.coboundary_matrix(X, k)
             expect = np.zeros(M.shape, dtype=np.int64)
-            for i, s in enumerate(M.rows.simplices):
+            for i, s in enumerate(M.rows):
                 for tau in combinations(s, len(s) - 1):
-                    expect[i, M.cols.index[tau]] = lg.sign(s, tau)
+                    expect[i, M.cols.index(tau)] = lg.sign(s, tau)
             assert M.mat.dtype == np.int64 and np.array_equal(M.mat, expect)
 
 
@@ -213,7 +213,7 @@ def test_bochner_diagonal_consistency(small_corpus):
             for i, j in split.edges:
                 deg_g[i] += 1
                 deg_g[j] += 1
-            for idx, s in enumerate(split.basis.simplices):
+            for idx, s in enumerate(split.basis):
                 assert split.D.mat[idx, idx] + deg_g[idx] == lg.degree(X, s) + k + 1
 
 
@@ -284,6 +284,38 @@ def test_entry_outside_the_bases_names_the_face():
         delta.entry((0, 1, 2), (0,))
     with pytest.raises(InputError, match=r"\(0, 1\)"):
         delta.entry((0, 1), (0, 1))
+    top = lg.coboundary_matrix(lg.skeleton(2, 1), 1)  # no 2-faces: an empty row basis
+    assert top.rows == () and top.shape == (0, 3)
+    with pytest.raises(InputError, match=r"\(0, 1, 2\)"):
+        top.entry((0, 1, 2), (0, 1))
+
+
+def test_operators_index_by_the_complex_face_tuples(small_corpus):
+    for X in small_corpus:
+        for k in range(-1, X.dim + 1):
+            L, delta = lg.laplacian(X, k), lg.coboundary_matrix(X, k)
+            assert L.rows is X.faces(k) and L.cols is X.faces(k)
+            assert delta.rows is X.faces(k + 1) and delta.cols is X.faces(k)
+            if k >= 0:
+                assert lg.laplacian_entrywise(X, k).rows is X.faces(k)
+                assert lg.bochner_split(X, k).basis is X.faces(k)
+
+
+def test_entrywise_route_does_not_read_the_facet_tables(small_corpus, monkeypatch):
+    expect = {
+        (i, k): lg.laplacian(X, k).mat
+        for i, X in enumerate(small_corpus[:30])
+        for k in range(0, X.dim + 1)
+    }
+
+    def refuse(X, k):
+        raise AssertionError("the entrywise route read a facet table")
+
+    monkeypatch.setattr(hodge, "facet_index", refuse)
+    for i, X in enumerate(small_corpus[:30]):
+        X = lg.SimplicialComplex(X.n, X.all_faces())  # no cached context
+        for k in range(0, X.dim + 1):
+            assert np.array_equal(lg.laplacian_entrywise(X, k).mat, expect[i, k])
 
 
 def _dump_by_entries(mat):

@@ -161,20 +161,6 @@ class BoundReport:
     slack: float
     tight: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "delta": self.delta,
-            "mu": self.mu,
-            "bound": self.bound,
-            "gershgorin": self.gershgorin,
-            "row_bound": self.row_bound,
-            "d": self.d,
-            "d_convention": self.d_convention,
-            "slack": self.slack,
-            "tight": self.tight,
-        }
-
 
 def spectral_gap_bound(X: SimplicialComplex, k: int) -> BoundReport:
     """Evaluate and verify the full bound chain at dimension k.

@@ -12,10 +12,12 @@ killed by SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import re
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import bounds as bounds_mod
 from . import complexes as cx
@@ -29,118 +31,96 @@ def _fnum(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# constructor expressions
+# constructor expressions: expr := name(arg,...), with the argument kinds
+# _GRAMMAR gives for name; whitespace may surround every token
+
+INT, EXPR, PATH = "an integer", "an expression", "a path"
+
+# name -> (argument kinds, constructor); each constructor looks its function up
+# when called, so a rebound module attribute (bench/tracing.py) is honoured
+_GRAMMAR = {
+    "skeleton": ((INT, INT), lambda m, k: cx.skeleton(m, k)),
+    "simplex": ((INT,), lambda m: cx.full_simplex(m)),
+    "Z": ((INT, INT, INT), lambda d, t, r: extremal.build_z(d, t, r)),
+    "join": ((EXPR, EXPR), lambda X, Y: cx.join(X, Y)),
+    "clique": ((PATH,), lambda path: cx.load_edge_file(path)),
+    "file": ((PATH,), lambda path: cx.load_facet_file(path)),
+}
+# a join nested this deep has over depth factors, so 2**(depth+1) faces, past the cap
+_MAX_DEPTH = cx.MAX_FACES.bit_length() - 1
+_SPACE = re.compile(r"\s*")
+_NAME = re.compile(r"\w+")
+_INT = re.compile(r"[+-]?\d+")
 
 
-class _ExprParser:
-    """Recursive-descent parser for the constructor grammar.
+def parse_constructor(text: str) -> cx.SimplicialComplex:
+    """The complex a constructor expression builds.
 
-    expr := skeleton(m,k) | simplex(m) | Z(d,t,r) | join(expr,expr)
-          | clique(path) | file(path)
+    A name is ``\\w+``, an integer ``[+-]?\\d+``, and a path runs to the
+    ``)`` that closes its constructor, parentheses inside it balanced.
     """
+    pos = 0
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    def fail(msg: str) -> NoReturn:
+        raise InputError(f"parse error at position {pos}: {msg}")
 
-    def fail(self, msg: str) -> None:
-        raise InputError(f"parse error at position {self.pos}: {msg}")
+    def skip() -> None:
+        nonlocal pos
+        pos = _SPACE.match(text, pos).end()
 
-    def _ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def expect(ch: str) -> None:
+        nonlocal pos
+        skip()
+        if not text.startswith(ch, pos):
+            fail(f"expected {ch!r}")
+        pos += 1
 
-    def _expect(self, ch: str) -> None:
-        self._ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
+    def token(pattern: re.Pattern, what: str) -> str:
+        nonlocal pos
+        skip()
+        m = pattern.match(text, pos) or fail(f"expected {what}")
+        pos = m.end()
+        return m.group()
 
-    def _ident(self) -> str:
-        self._ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            self.fail("expected a constructor name")
-        return self.text[start : self.pos]
+    def path() -> str:
+        nonlocal pos
+        start, depth = pos, 0
+        while pos < len(text) and (text[pos] != ")" or depth):
+            depth += (text[pos] == "(") - (text[pos] == ")")
+            pos += 1
+        return text[start:pos].strip()
 
-    def _int(self) -> int:
-        self._ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.fail("expected an integer")
-        return int(self.text[start : self.pos])
+    def expr(depth: int) -> cx.SimplicialComplex:
+        skip()
+        if depth == _MAX_DEPTH:
+            fail(f"joins nested {depth} deep would have over {cx.MAX_FACES} faces")
+        name = token(_NAME, "a constructor name")
+        expect("(")
+        if name not in _GRAMMAR:
+            fail(f"unknown constructor {name!r}")
+        kinds, build = _GRAMMAR[name]
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                expect(",")
+            if kind == EXPR:
+                args.append(expr(depth + 1))
+            elif kind == PATH:
+                args.append(path())
+            else:
+                digits = token(_INT, INT)
+                try:
+                    args.append(int(digits))
+                except ValueError:  # past the digit limit of int()
+                    fail(f"an integer of {len(digits)} digits is out of range")
+        expect(")")
+        return build(*args)
 
-    def _path(self) -> str:
-        self._ws()
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            self.pos += 1
-        return self.text[start : self.pos].strip()
-
-    def parse(self) -> cx.SimplicialComplex:
-        out = self.expr()
-        self._ws()
-        if self.pos != len(self.text):
-            self.fail("unexpected trailing input")
-        return out
-
-    def expr(self) -> cx.SimplicialComplex:
-        name = self._ident()
-        self._expect("(")
-        if name == "skeleton":
-            m = self._int()
-            self._expect(",")
-            k = self._int()
-            self._expect(")")
-            return cx.skeleton(m, k)
-        if name == "simplex":
-            m = self._int()
-            self._expect(")")
-            return cx.full_simplex(m)
-        if name == "Z":
-            d = self._int()
-            self._expect(",")
-            t = self._int()
-            self._expect(",")
-            r = self._int()
-            self._expect(")")
-            return extremal.build_z(d, t, r)
-        if name == "join":
-            left = self.expr()
-            self._expect(",")
-            right = self.expr()
-            self._expect(")")
-            return cx.join(left, right)
-        if name == "clique":
-            path = self._path()
-            self._expect(")")
-            return cx.load_edge_file(path)
-        if name == "file":
-            path = self._path()
-            self._expect(")")
-            return cx.load_facet_file(path)
-        self.fail(f"unknown constructor {name!r}")
-        raise AssertionError  # unreachable
-
-
-def parse_constructor(expr: str) -> cx.SimplicialComplex:
-    return _ExprParser(expr).parse()
+    out = expr(0)
+    skip()
+    if pos != len(text):
+        fail("unexpected trailing input")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +214,7 @@ def _cmd_missing(args, out) -> int:
 def _cmd_bound(args, out) -> int:
     X = parse_constructor(args.expr)
     for k in _k_list(X, args.k):
-        obj = bounds_mod.spectral_gap_bound(X, k).to_json_dict()
+        obj = dataclasses.asdict(bounds_mod.spectral_gap_bound(X, k))
         obj["mu"] = _fnum(obj["mu"])
         obj["slack"] = _fnum(obj["slack"])
         _emit(obj, args.format, out)

@@ -19,11 +19,14 @@ Simplex = tuple[int, ...]
 MAX_FACES = 100_000  # the constructors refuse a complex predicted to have more
 
 
-def check_face_count(dim: int, count: Callable[[], int], what: str) -> None:
-    """Refuse a complex of dimension dim with count() faces past MAX_FACES before it
-    is built; count() is not called once 2**(dim+1), a lower bound, is past it."""
-    if dim >= MAX_FACES.bit_length() or count() > MAX_FACES:
-        raise SizeLimitError(f"{what} would have over {MAX_FACES} faces, the constructor cap")
+def check_face_count(
+    dim: int, count: Callable[[], int], what: str, cap: int | None = None
+) -> None:
+    """Refuse a complex of dimension dim with count() faces past cap (MAX_FACES by
+    default) before it is built; count() is not called once 2**(dim+1) is past it."""
+    cap = MAX_FACES if cap is None else cap
+    if dim >= cap.bit_length() or count() > cap:
+        raise SizeLimitError(f"{what} would have over {cap} faces, the size cap")
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -150,28 +153,28 @@ def clique_complex(n: int, edges: Iterable[Sequence[int]]) -> SimplicialComplex:
         raise InputError(f"vertex count must be >= 1, got {n}")
     what = f"a complex on {n} vertices"
     check_face_count(0, lambda: n + 1, what)
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    upper: list[set[int]] = [set() for _ in range(n)]  # the larger neighbours
     for e in edges:
         u, w = (int(x) for x in e)
         if u == w:
             raise InputError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= w < n):
             raise InputError(f"edge ({u},{w}) references vertex >= n={n}")
-        adj[u].add(w)
-        adj[w].add(u)
-    faces: set[Simplex] = {()}
-    level: list[Simplex] = [(v,) for v in range(n)]
-    while level:
-        faces.update(level)
-        nxt = []
-        for c in level:
-            check_face_count(0, lambda: len(faces) + len(nxt), what)
-            common = set(range(c[-1] + 1, n))
-            for v in c:
-                common &= adj[v]
-            for v in sorted(common):
-                nxt.append(c + (v,))
-        level = nxt
+        upper[min(u, w)].add(max(u, w))
+    # depth first; a clique c waits with the common larger neighbours of
+    # c[:-1], and narrows them by upper[c[-1]] only when it is taken, so what
+    # waits is at most the faces already counted
+    everyone = set(range(n))
+    stack = [((v,), everyone) for v in range(n)]
+    faces: set[Simplex] = {(), *(c for c, _ in stack)}
+    while stack:
+        c, pool = stack.pop()
+        common = pool & upper[c[-1]]
+        for v in common:
+            d = c + (v,)
+            faces.add(d)
+            stack.append((d, common))
+        check_face_count(0, lambda: len(faces), what)
     return SimplicialComplex(n, faces)
 
 
@@ -274,24 +277,44 @@ class MissingFaceReport:
 def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
     """All minimal non-faces among subsets of {0..n-1}, ordered by (size, lex).
 
-    Every proper subset of a minimal non-face sigma is a face, so sigma is
-    tau + (v,) for the face tau = sigma without its largest vertex v.  The
-    search therefore extends each face tau by each larger id v and keeps the
-    candidate when it is not a face but its other facets are: the work grows
-    with the number of faces times n, not with 2^n.  The search stops with
-    :class:`SizeLimitError` once it has found more than MAX_FACES.  Ids of
-    the ambient range that are not vertices (as in subcomplexes from
-    :func:`link` and :func:`induced`) come out as missing singletons.
+    Ids that are not vertices (as in subcomplexes from :func:`link` and
+    :func:`induced`) are missing singletons, and vertex pairs with no edge
+    missing edges.  A larger one is tau + (v,) for a face tau, with v a
+    common larger neighbour of tau's vertices.  The search walks the faces
+    depth first and narrows those neighbours when it takes a face, so its
+    work grows with the vertex pairs and the faces' common neighbours, not
+    with 2^n, and it holds at most one neighbour set per level of the walk.
+    It stops with :class:`SizeLimitError` once it has found more than
+    MAX_FACES.
     """
     faces = X._faces
-    out: list[Simplex] = []
-    for tau in X.all_faces():
-        for v in range(tau[-1] + 1 if tau else 0, X.n):
+    out: list[Simplex] = [(v,) for v in range(X.n) if (v,) not in faces]
+    upper: dict[int, set[int]] = {}  # the larger neighbours of each vertex
+    for u, w in X.faces(1):
+        upper.setdefault(u, set()).add(w)
+
+    def check_found() -> None:
+        if len(out) > MAX_FACES:
+            raise SizeLimitError(f"over {MAX_FACES} minimal non-faces, the search cap")
+
+    vertices = X.vertices()
+    for i, u in enumerate(vertices):
+        nbrs = upper.get(u, ())
+        out.extend((u, v) for v in vertices[i + 1 :] if v not in nbrs)
+        check_found()
+    # a face tau waits with the common larger neighbours of tau[:-1]
+    everyone = set(vertices)
+    stack = [((u,), everyone) for u in upper]
+    while stack:
+        tau, pool = stack.pop()
+        common = pool & upper.get(tau[-1], set())
+        for v in common:
             c = tau + (v,)
-            if c not in faces and all(c[:i] + c[i + 1 :] in faces for i in range(len(tau))):
+            if c in faces:
+                stack.append((c, common))
+            elif all(c[:i] + c[i + 1 :] in faces for i in range(len(tau))):
                 out.append(c)
-                if len(out) > MAX_FACES:
-                    raise SizeLimitError(f"over {MAX_FACES} minimal non-faces, the search cap")
+        check_found()
     out.sort(key=lambda f: (len(f), f))
     h = max((len(f) - 1 for f in out), default=None)
     return MissingFaceReport(tuple(out), h)
@@ -399,24 +422,24 @@ def parse_facet_text(text: str) -> tuple[int, list[Simplex]]:
     return n, out
 
 
-def load_facet_file(path: str) -> SimplicialComplex:
+def _read_facet_text(path: str, what: str) -> tuple[int, list[Simplex]]:
+    """parse_facet_text of a file; a missing or unreadable file, a path with a
+    NUL and text that is not UTF-8 raise InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read facet file {path}: {exc}") from exc
-    n, fs = parse_facet_text(text)
-    return from_facets(n, fs)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    return parse_facet_text(text)
+
+
+def load_facet_file(path: str) -> SimplicialComplex:
+    return from_facets(*_read_facet_text(path, "facet file"))
 
 
 def load_edge_file(path: str) -> SimplicialComplex:
     """Clique complex of a graph given in facet-file syntax with 2-id lines."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read edge file {path}: {exc}") from exc
-    n, lines = parse_facet_text(text)
+    n, lines = _read_facet_text(path, "edge file")
     for e in lines:
         if len(e) != 2:
             raise InputError(f"edge file line {e} does not have exactly 2 vertex ids")

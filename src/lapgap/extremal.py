@@ -160,15 +160,7 @@ def verify_z_family(d: int, t: int, r: int) -> ZVerifyReport:
     alone when 2**(dim+1), a lower bound on the count, is past the cap.
     """
     params = ZParams(d, t, r)
-    if params.dim >= Z_FACE_CAP.bit_length():
-        raise SizeLimitError(
-            f"Z({d},{t},{r}) has dimension {params.dim}, so more faces than the cap {Z_FACE_CAP}"
-        )
-    if params.total_faces > Z_FACE_CAP:
-        raise SizeLimitError(
-            f"Z({d},{t},{r}) has {params.total_faces} faces (dimension {params.dim}), "
-            f"over the cap {Z_FACE_CAP}"
-        )
+    check_face_count(params.dim, lambda: params.total_faces, f"Z({d},{t},{r})", Z_FACE_CAP)
     Z = build_z(d, t, r)
     skel_table = {i: skeleton_spectrum(d + 1, d - 1, i) for i in range(-1, d)}
     simp_table = {i: skeleton_spectrum(r, r - 1, i) for i in range(-1, r)}

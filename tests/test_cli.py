@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lapgap as lg
 from lapgap import cli
@@ -28,6 +30,10 @@ def run(capsys, *argv):
 # --- constructor grammar -----------------------------------------------------------
 
 
+def nested_join(depth):
+    return "join(simplex(0)," * depth + "simplex(0)" + ")" * depth
+
+
 def test_parse_constructor_examples():
     assert parse_constructor("Z(1,2,1)").n == 5
     assert parse_constructor("skeleton(3,1)") == lg.skeleton(3, 1)
@@ -36,6 +42,8 @@ def test_parse_constructor_examples():
     assert set(C4.faces(1)) == {(0, 2), (0, 3), (1, 2), (1, 3)}
     nested = parse_constructor("join(join(simplex(0), simplex(0)), skeleton(2,1))")
     assert nested.n == 5
+    # 16 factors, 2**16 faces: one more join is refused as past the face cap
+    assert parse_constructor(nested_join(15)) == lg.full_simplex(15)
 
 
 def test_parse_constructor_whitespace():
@@ -56,6 +64,86 @@ def test_parse_constructor_file(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text("n 3\n0 1\n1 2\n0 2\n", encoding="utf-8")
     assert parse_constructor(f"clique({gpath})") == lg.full_simplex(2)
+
+
+# names, digits int() takes and does not, signs, punctuation, whitespace, NUL
+FUZZ_TOKENS = ("skeleton", "simplex", "Z", "join", "clique", "file", "frob", "_", "0", "1",
+               "3", "9", "99999", "²", "٣", "１", "+", "-", "(", "(", ")", ")", ",", ",",
+               " ", "\t", "\n", "　", "\0", ".", "é")
+JUNK = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4).map("".join)
+# calls of any name, on junk or on calls, comma-separated
+CALLS = st.recursive(JUNK, lambda args: st.builds(
+    lambda name, inner: f"{name}({','.join(inner)})",
+    st.sampled_from(FUZZ_TOKENS[:7]), st.lists(args, max_size=3)), max_leaves=5)
+
+
+@settings(derandomize=True, max_examples=400, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=CALLS | st.lists(st.sampled_from(FUZZ_TOKENS), max_size=20).map("".join)
+       | st.text(max_size=20))
+def test_fuzzed_expressions_build_or_raise_input_error(tmp_path, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)  # a fuzzed file(...) reads nothing of the checkout
+    try:
+        X = parse_constructor(text)
+    except InputError:
+        return
+    assert isinstance(X, lg.SimplicialComplex)
+
+
+LEAVES = st.one_of(
+    st.tuples(st.just("skeleton"), st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda t: t[2] <= t[1]),
+    st.tuples(st.just("simplex"), st.integers(0, 2)),
+    st.sampled_from([("Z", 1, 1, 1), ("Z", 1, 1, 2), ("Z", 2, 1, 1), ("Z", 1, 2, 1)]),
+    st.sampled_from([("file",), ("clique",)]),
+)
+EXPRESSIONS = st.recursive(LEAVES, lambda kids: st.tuples(st.just("join"), kids, kids),
+                           max_leaves=3)
+SPACES = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\xa0 　", max_size=2)
+# the zeros of the digits 0-9 in ASCII, Arabic-Indic and fullwidth, all read by int()
+DIGIT_ZEROS = (ord("0"), 0x660, 0xFF10)
+
+
+@pytest.fixture(scope="module")
+def grammar_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grammar")
+    (root / "facets.txt").write_text(FACETS, encoding="utf-8")
+    (root / "edges.txt").write_text("n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n1 3\n", encoding="utf-8")
+    return {"file": str(root / "facets.txt"), "clique": str(root / "edges.txt")}
+
+
+CONSTRUCTORS = {"skeleton": lg.skeleton, "simplex": lg.full_simplex, "Z": lg.build_z,
+                "file": lg.load_facet_file, "clique": lg.load_edge_file}
+
+
+def direct(node, paths):
+    """The complex of an expression tree, by direct constructor calls."""
+    name, *args = node
+    if name == "join":
+        return lg.join(direct(args[0], paths), direct(args[1], paths))
+    return CONSTRUCTORS[name](*([paths[name]] if name in paths else args))
+
+
+def render(node, paths, draw):
+    """An expression tree as text, with drawn whitespace and integer spellings."""
+    name, *args = node
+    if name in paths:
+        args = [paths[name]]
+    elif name == "join":
+        args = [render(a, paths, draw) for a in args]
+    else:
+        zero = draw(st.sampled_from(DIGIT_ZEROS))
+        prefix = draw(st.sampled_from(("", "+", "0", "+00")))
+        args = [prefix + "".join(chr(zero + int(c)) for c in str(a)) for a in args]
+    inner = ",".join(draw(SPACES) + a + draw(SPACES) for a in args)
+    return f"{draw(SPACES)}{name}{draw(SPACES)}({inner}){draw(SPACES)}"
+
+
+@settings(derandomize=True, max_examples=150, deadline=2000)
+@given(node=EXPRESSIONS, data=st.data())
+def test_rendered_expressions_build_what_the_constructors_build(grammar_files, node, data):
+    text = render(node, grammar_files, data.draw)
+    assert parse_constructor(text) == direct(node, grammar_files)
 
 
 # --- subcommands ----------------------------------------------------------------------
@@ -165,9 +253,28 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "input error" in err
 
 
-def test_bad_expression_exits_2(capsys):
-    code, _, err = run(capsys, "gap", "frob(1)")
-    assert code == 2
+# the parse errors whose wording and position are pinned
+PARSE_ERRORS = {
+    "frob(1)": "parse error at position 5: unknown constructor 'frob'",
+    "frob": "parse error at position 4: expected '('",
+}
+
+
+@pytest.mark.parametrize("expr", [
+    "frob(1)",
+    "frob",
+    pytest.param("simplex(²)", id="simplex(superscript two)"),  # isdigit(), not int()
+    "simplex(+)",
+    pytest.param("simplex(" + "9" * 5000 + ")", id="simplex(5000 nines)"),
+    pytest.param(nested_join(16), id="join nested 16 deep"),
+    pytest.param(nested_join(1200), id="join nested 1200 deep"),
+    pytest.param("file(a\0b)", id="file(path with NUL)"),
+])
+def test_bad_expression_exits_2(capsys, expr):
+    code, out, err = run(capsys, "gap", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert PARSE_ERRORS.get(expr, "") in err
 
 
 def test_verify_z_subcommand(capsys):
@@ -303,10 +410,12 @@ def test_oversized_or_negative_constructor_exits_2(capsys, expr):
     ("file", "n 99999999999\n0 1\n"),
     ("file", "n 40\n" + " ".join(str(v) for v in range(40)) + "\n"),
     ("clique", "n 99999999999\n0 1\n"),
+    pytest.param("file", b"n 3\n0 1\xff\n", id="file-not-utf-8"),
+    pytest.param("clique", b"n 3\n0 1\xff\n", id="clique-not-utf-8"),
 ])
 def test_oversized_facet_or_edge_file_exits_2(capsys, tmp_path, ctor, text):
     path = tmp_path / "x.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     code, out, err = run(capsys, "build", f"{ctor}({path})")
     assert code == 2 and out == ""
     assert err.startswith("input error:") and err.count("\n") == 1

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -133,6 +135,52 @@ def test_clique_complex_missing_faces_are_edges(small_corpus):
         X = lg.clique_complex(n, edges)
         report = lg.missing_faces(X)
         assert all(len(f) == 2 for f in report.missing)
+
+
+def test_clique_walk_costs_about_what_the_closure_costs():
+    # on n isolated vertices both build the same n + 1 faces; a walk that
+    # tried every larger id at every vertex took n^2 steps, 50 times as long
+    def best(build):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            build()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    n = 10000
+    closure = best(lambda: lg.from_facets(n, []))
+    walk = best(lambda: lg.clique_complex(n, []))
+    assert walk < 10 * closure + 0.05, (walk, closure)
+
+
+def peak_bytes(build):
+    """The most memory build() held at once, refusal included."""
+    tracemalloc.start()
+    try:
+        build()
+    except SizeLimitError:
+        pass
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def larger_neighbour_sets(n):
+    return [set(range(u + 1, n)) for u in range(n)]
+
+
+def test_clique_walk_is_refused_before_it_holds_more_than_the_graph(monkeypatch):
+    # K_300 with the cap at 3000 faces: a walk that built each clique's
+    # neighbour set for its children before the cap saw them held about
+    # C(299,2) entries per vertex, 9 times what the graph's sets hold
+    n = 300
+    edges = list(combinations(range(n), 2))
+    graph = peak_bytes(lambda: larger_neighbour_sets(n))
+    monkeypatch.setattr(complexes, "MAX_FACES", 3000)
+    with pytest.raises(SizeLimitError):
+        lg.clique_complex(n, edges)
+    assert peak_bytes(lambda: lg.clique_complex(n, edges)) < 2 * graph
 
 
 # --- skeleton ------------------------------------------------------------------
@@ -355,6 +403,39 @@ def test_missing_face_search_stops_past_the_cap(monkeypatch):
         lg.missing_faces(X)
 
 
+class CountingFaces(frozenset):
+    """A face set that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, face):
+        self.tests += 1
+        return super().__contains__(face)
+
+
+def test_missing_face_search_tries_only_common_neighbours():
+    # K_{60,60}, its sides the even and the odd ids: no edge has a common
+    # neighbour, so past the vertex pairs nothing is tried (faces x n before)
+    n = 120
+    X = lg.clique_complex(n, [(a, b) for a in range(0, n, 2) for b in range(1, n, 2)])
+    X._faces = counting = CountingFaces(X._faces)
+    report = lg.missing_faces(X)
+    assert report.missing == tuple(e for e in combinations(range(n), 2) if (e[1] - e[0]) % 2 == 0)
+    assert counting.tests <= n + 2 * comb(n, 2)
+
+
+def test_missing_face_search_is_refused_before_it_holds_more_than_the_graph(monkeypatch):
+    # the 1-skeleton of the simplex on 121 ids, with the result cap at 1000:
+    # every triangle is missing, and a search that built the neighbour sets
+    # of all the edges first held 38 times what the graph's sets hold
+    X = lg.skeleton(120, 1)
+    graph = peak_bytes(lambda: larger_neighbour_sets(121))
+    monkeypatch.setattr(complexes, "MAX_FACES", 1000)
+    with pytest.raises(SizeLimitError):
+        lg.missing_faces(X)
+    assert peak_bytes(lambda: lg.missing_faces(X)) < 2 * graph
+
+
 @st.composite
 def complexes_up_to_ten(draw):
     """Facet closures on up to 10 ids, half of them cut down to a link or
@@ -525,3 +606,34 @@ def test_edge_file_loader(tmp_path):
     bad.write_text("n 3\n0 1 2\n", encoding="utf-8")
     with pytest.raises(InputError):
         lg.load_edge_file(str(bad))
+
+
+# header variants, ids in and out of range, junk tokens, comments and blanks
+FILE_HEADERS = ("n 5", "n 1", "n 0", "n -3", "n", "n 5 5", "N 5", "n x", "n ²", "n ٣",
+                "n 99999999999", "n " + "9" * 5000, "n 100000", "# c\nn 4", "")
+FILE_IDS = st.integers(-2, 6).map(str) | st.sampled_from(
+    (str(10**12), str(2**63), "9" * 5000, "x", "²", "٣", "1.0", "+1", "0x1"))
+FILE_LINES = st.lists(FILE_IDS, max_size=5).map(" ".join) | st.sampled_from(("# x", "", " "))
+FILE_TEXTS = st.builds(lambda head, body: "\n".join([head, *body]),
+                       st.sampled_from(FILE_HEADERS), st.lists(FILE_LINES, max_size=8))
+# a junk byte spliced in: not UTF-8 (0xff, a cut 0xc3), or a NUL
+FILE_BYTES = st.builds(lambda text, junk, at: text.encode()[:at] + junk + text.encode()[at:],
+                       FILE_TEXTS, st.sampled_from((b"", b"\xff", b"\xc3", b"\0")),
+                       st.integers(0, 40)) | st.binary(max_size=40)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "x.txt"
+
+
+@settings(derandomize=True, max_examples=200, deadline=2000)
+@given(data=FILE_BYTES)
+def test_fuzzed_facet_and_edge_files_load_or_raise_input_error(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    for load in (lg.load_facet_file, lg.load_edge_file):
+        try:
+            X = load(str(fuzz_path))
+        except InputError:
+            continue
+        assert isinstance(X, lg.SimplicialComplex)

@@ -8,15 +8,23 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError, InputError, SizeLimitError
 
 Simplex = tuple[int, ...]
 
 MAX_FACES = 100_000  # the constructors refuse a complex predicted to have more
+# a facet or edge file is read up to this many bytes: room for MAX_FACES lines
+# of the longest facet a complex within the cap can have, 16 ids (2**17 faces
+# are past the cap) of at most 5 digits (ids are below n < MAX_FACES), each
+# with its separator, under 100 bytes
+MAX_FILE_BYTES = 100 * MAX_FACES
 
 
 def check_face_count(
@@ -27,6 +35,11 @@ def check_face_count(
     cap = MAX_FACES if cap is None else cap
     if dim >= cap.bit_length() or count() > cap:
         raise SizeLimitError(f"{what} would have over {cap} faces, the size cap")
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -48,38 +61,81 @@ class SimplicialComplex:
     :func:`link` and :func:`induced` may omit some of them while keeping the
     ambient ids of the parent complex.
 
+    ``SimplicialComplex(n, faces)`` puts every face through :func:`simplex`;
+    the constructors of this module hand over faces they built canonical,
+    grouped by dimension, and skip that step.  Either way the ids are checked
+    against ``n`` and the family is checked downward closed, dimension by
+    dimension: the position in ``faces(k-1)`` of each facet of each k-face is
+    looked up, and a facet that is missing raises :class:`InputError`.  The
+    positions found are the facet tables, kept in ``_tables`` (read-only
+    intp arrays, ``_tables[k + 1]`` of shape ``(|X(k)|, k+1)`` for
+    -1 <= k <= dim + 1), which :func:`lapgap.hodge.facet_index` returns.
+
     ``_hodge`` holds the complex's Hodge context, one dict created on first
     use and freed with the complex.  Each memoized
-    function of :mod:`lapgap.hodge` (missing faces, facet tables, degree
-    vectors, Laplacians, spectra, ranks) keeps its value there under
+    function of :mod:`lapgap.hodge` (missing faces, degree vectors,
+    Laplacians, spectra, rank pivots) keeps its value there under
     ``(name, *k)``, computed once.  Two threads that fill the same entry at
     once both compute it and one result wins; the results are equal, so the
-    race is benign.  The context takes no part in equality or hashing.
+    race is benign.  Neither takes part in equality or hashing.
     """
 
-    __slots__ = ("n", "_by_dim", "_faces", "_dim", "_hodge")
+    __slots__ = ("n", "_by_dim", "_faces", "_dim", "_tables", "_hodge")
 
     def __init__(self, n: int, faces: Iterable[Sequence[int]]):
-        if n < 1:
-            raise InputError(f"vertex count must be >= 1, got {n}")
-        face_set = {simplex(f) for f in faces}
-        face_set.add(())
+        _check_vertex_count(n)
         by_dim: dict[int, list[Simplex]] = {}
-        for f in face_set:
-            if f and f[-1] >= n:
-                raise InputError(f"face {f} references vertex >= n={n}")
+        for f in {simplex(f) for f in faces}:
             by_dim.setdefault(len(f) - 1, []).append(f)
-        # downward closure: checking codimension-1 subsets suffices by induction
-        for f in face_set:
-            for i in range(len(f)):
-                if f[:i] + f[i + 1 :] not in face_set:
-                    raise InputError(
-                        f"not downward closed: {f} present, {f[:i] + f[i + 1:]} missing"
-                    )
+        self._fill(n, by_dim)
+
+    @classmethod
+    def _canonical(cls, n: int, by_dim: dict[int, list[Simplex]]) -> SimplicialComplex:
+        """The complex of faces already canonical and distinct, by dimension
+        (the empty face may be left out); ids and closure are still checked."""
+        _check_vertex_count(n)
+        X = cls.__new__(cls)
+        X._fill(n, by_dim)
+        return X
+
+    def _fill(self, n: int, by_dim: dict[int, list[Simplex]]) -> None:
+        by_dim[-1] = [()]
+        dim = max(k for k, fs in by_dim.items() if fs)
+        faces = {k: tuple(sorted(by_dim.get(k, ()))) for k in range(-1, dim + 1)}
+        for k in range(dim + 1):
+            top = max(map(itemgetter(-1), faces[k]), default=-1)
+            if top >= n:
+                f = next(f for f in faces[k] if f[-1] == top)
+                raise InputError(f"face {f} references vertex >= n={n}")
+            if faces[k] and faces[k][0][0] < 0:
+                raise InputError(f"negative vertex id in {list(faces[k][0])}")
+        # downward closure, one dimension at a time: by induction it suffices
+        # that every facet of a k-face is a (k-1)-face, and the position of
+        # that facet is the entry of the facet table; combinations(f, k)
+        # drops the last vertex first, so the columns come out reversed
+        tables = [np.zeros((1, 0), dtype=np.intp)]
+        for k in range(dim + 1):
+            below = faces[k - 1]
+            position = dict(zip(below, range(len(below))))
+            try:
+                flat = list(map(position.__getitem__,
+                                chain.from_iterable(map(combinations, faces[k], repeat(k)))))
+            except KeyError:
+                f, j = next((f, j) for f in faces[k] for j in range(k + 1)
+                            if f[:j] + f[j + 1 :] not in position)
+                raise InputError(
+                    f"not downward closed: {f} present, {f[:j] + f[j + 1:]} missing"
+                ) from None
+            table = np.array(flat, dtype=np.intp).reshape(len(faces[k]), k + 1)
+            tables.append(table[:, ::-1])
+        tables.append(np.zeros((0, dim + 2), dtype=np.intp))
+        for t in tables:
+            t.flags.writeable = False
         self.n = n
-        self._faces = frozenset(face_set)
-        self._dim = max(by_dim)
-        self._by_dim = {k: tuple(sorted(v)) for k, v in by_dim.items()}
+        self._dim = dim
+        self._by_dim = faces
+        self._faces = frozenset(chain.from_iterable(faces.values()))
+        self._tables = tuple(tables)
         self._hodge = None
 
     @property
@@ -130,32 +186,32 @@ class SimplicialComplex:
 
 def from_facets(n: int, facets: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Downward closure of the given facets plus all singletons and the empty face."""
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
+    _check_vertex_count(n)
     what = f"a complex on {n} vertices"
     check_face_count(0, lambda: n + 1, what)
-    closure: set[Simplex] = {()}
-    closure.update((v,) for v in range(n))
+    closure: dict[int, set[Simplex]] = {0: {(v,) for v in range(n)}}  # by dimension
     for facet in facets:
         s = simplex(facet)
         if s and s[-1] >= n:
             raise InputError(f"facet {s} references vertex >= n={n}")
         check_face_count(len(s) - 1, lambda: 2 ** len(s), f"a facet on {len(s)} vertices")
-        for r in range(len(s) + 1):
-            closure.update(combinations(s, r))
-        check_face_count(0, lambda: len(closure), what)
-    return SimplicialComplex(n, closure)
+        for r in range(2, len(s) + 1):
+            closure.setdefault(r - 1, set()).update(combinations(s, r))
+        check_face_count(0, lambda: 1 + sum(map(len, closure.values())), what)
+    return SimplicialComplex._canonical(n, {k: list(fs) for k, fs in closure.items()})
 
 
 def clique_complex(n: int, edges: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Complex whose faces are the cliques of the graph (n, edges)."""
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
+    _check_vertex_count(n)
     what = f"a complex on {n} vertices"
     check_face_count(0, lambda: n + 1, what)
     upper: list[set[int]] = [set() for _ in range(n)]  # the larger neighbours
     for e in edges:
-        u, w = (int(x) for x in e)
+        try:
+            u, w = (int(x) for x in e)
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} is not a pair of vertex ids") from None
         if u == w:
             raise InputError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= w < n):
@@ -163,19 +219,22 @@ def clique_complex(n: int, edges: Iterable[Sequence[int]]) -> SimplicialComplex:
         upper[min(u, w)].add(max(u, w))
     # depth first; a clique c waits with the common larger neighbours of
     # c[:-1], and narrows them by upper[c[-1]] only when it is taken, so what
-    # waits is at most the faces already counted
+    # waits is at most the faces already counted; each clique is reached
+    # once, from the clique of its smaller vertices, so no set is needed
     everyone = set(range(n))
     stack = [((v,), everyone) for v in range(n)]
-    faces: set[Simplex] = {(), *(c for c, _ in stack)}
+    faces: dict[int, list[Simplex]] = {0: [c for c, _ in stack]}  # by dimension
+    count = 1 + n
     while stack:
         c, pool = stack.pop()
         common = pool & upper[c[-1]]
-        for v in common:
-            d = c + (v,)
-            faces.add(d)
-            stack.append((d, common))
-        check_face_count(0, lambda: len(faces), what)
-    return SimplicialComplex(n, faces)
+        if common:
+            grown = [c + (v,) for v in common]
+            faces.setdefault(len(c), []).extend(grown)
+            stack.extend((d, common) for d in grown)
+            count += len(grown)
+        check_face_count(0, lambda: count, what)
+    return SimplicialComplex._canonical(n, faces)
 
 
 def skeleton(m: int, k: int) -> SimplicialComplex:
@@ -183,10 +242,8 @@ def skeleton(m: int, k: int) -> SimplicialComplex:
     if not 0 <= k <= m:
         raise InputError(f"skeleton dimension k={k} must satisfy 0 <= k <= m={m}")
     check_face_count(k, lambda: sum(comb(m + 1, i) for i in range(k + 2)), f"skeleton({m},{k})")
-    faces = [
-        c for size in range(k + 2) for c in combinations(range(m + 1), size)
-    ]
-    return SimplicialComplex(m + 1, faces)
+    faces = {size - 1: list(combinations(range(m + 1), size)) for size in range(1, k + 2)}
+    return SimplicialComplex._canonical(m + 1, faces)
 
 
 def full_simplex(m: int) -> SimplicialComplex:
@@ -198,12 +255,12 @@ def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
     """Join of X and Y; Y's vertex ids are shifted by X.n to stay disjoint."""
     check_face_count(X.dim + Y.dim + 1, lambda: X.num_faces * Y.num_faces, f"join of {X} and {Y}")
     shift = X.n
-    faces = []
-    y_faces = [tuple(v + shift for v in t) for t in Y.all_faces()]
-    for s in X.all_faces():
-        for t in y_faces:
-            faces.append(s + t)
-    return SimplicialComplex(X.n + Y.n, faces)
+    y_faces = {j: [tuple(v + shift for v in t) for t in Y.faces(j)] for j in range(-1, Y.dim + 1)}
+    faces: dict[int, list[Simplex]] = {}
+    for i in range(-1, X.dim + 1):
+        for j, ts in y_faces.items():
+            faces.setdefault(i + j + 1, []).extend(s + t for s in X.faces(i) for t in ts)
+    return SimplicialComplex._canonical(X.n + Y.n, faces)
 
 
 def link(X: SimplicialComplex, sigma: Sequence[int]) -> SimplicialComplex:
@@ -212,13 +269,11 @@ def link(X: SimplicialComplex, sigma: Sequence[int]) -> SimplicialComplex:
     if s not in X:
         raise InputError(f"{s} is not a face of the complex")
     sset = set(s)
-    faces = []
-    for t in X.all_faces():
-        if sset.intersection(t):
-            continue
-        if tuple(sorted(s + t)) in X:
-            faces.append(t)
-    return SimplicialComplex(X.n, faces)
+    faces = {
+        k: [t for t in X.faces(k) if not sset.intersection(t) and tuple(sorted(s + t)) in X]
+        for k in range(X.dim + 1)
+    }
+    return SimplicialComplex._canonical(X.n, faces)
 
 
 def induced(X: SimplicialComplex, U: Iterable[int]) -> SimplicialComplex:
@@ -227,8 +282,8 @@ def induced(X: SimplicialComplex, U: Iterable[int]) -> SimplicialComplex:
     for v in uset:
         if not 0 <= v < X.n:
             raise InputError(f"vertex {v} outside ambient range 0..{X.n - 1}")
-    faces = [t for t in X.all_faces() if uset.issuperset(t)]
-    return SimplicialComplex(X.n, faces)
+    faces = {k: [t for t in X.faces(k) if uset.issuperset(t)] for k in range(X.dim + 1)}
+    return SimplicialComplex._canonical(X.n, faces)
 
 
 def degree(X: SimplicialComplex, sigma: Sequence[int]) -> int:
@@ -336,26 +391,28 @@ def from_missing_faces(n: int, missing: Iterable[Sequence[int]]) -> SimplicialCo
         if f and f[-1] >= n:
             raise InputError(f"missing face {f} references vertex >= n={n}")
     if () in mins:
-        return SimplicialComplex(n, ())
+        return SimplicialComplex._canonical(n, {})
     what = f"a complex on {n} vertices"
     check_face_count(0, lambda: n + 1, what)
     # bitmasks of the given faces, by their largest vertex
     by_top: list[list[int]] = [[] for _ in range(n)]
     for f in mins:
         by_top[f[-1]].append(sum(1 << v for v in f))
-    faces: list[Simplex] = [()]
+    faces: dict[int, list[Simplex]] = {}  # by dimension
+    count = 1
     level: list[tuple[Simplex, int]] = [((), 0)]
     while level:
         nxt = []
         for c, mask in level:
-            check_face_count(0, lambda: len(faces) + len(nxt), what)
+            check_face_count(0, lambda: count + len(nxt), what)
             for v in range(c[-1] + 1 if c else 0, n):
                 grown = mask | 1 << v
                 if all(m & ~grown for m in by_top[v]):
                     nxt.append((c + (v,), grown))
-        faces.extend(c for c, _ in nxt)
+        faces[len(level[0][0])] = [c for c, _ in nxt]
+        count += len(nxt)
         level = nxt
-    return SimplicialComplex(n, faces)
+    return SimplicialComplex._canonical(n, faces)
 
 
 def facets(X: SimplicialComplex) -> tuple[Simplex, ...]:
@@ -370,10 +427,13 @@ def facets(X: SimplicialComplex) -> tuple[Simplex, ...]:
 
 def relabel(X: SimplicialComplex, perm: Sequence[int]) -> SimplicialComplex:
     """Apply a permutation of {0..n-1} to all vertex ids."""
+    perm = [int(v) for v in perm]
     if sorted(perm) != list(range(X.n)):
         raise InputError("relabeling must be a permutation of 0..n-1")
-    faces = [tuple(sorted(perm[v] for v in f)) for f in X.all_faces()]
-    return SimplicialComplex(X.n, faces)
+    faces = {
+        k: [tuple(sorted(perm[v] for v in f)) for f in X.faces(k)] for k in range(X.dim + 1)
+    }
+    return SimplicialComplex._canonical(X.n, faces)
 
 
 def compactify(X: SimplicialComplex) -> tuple[SimplicialComplex, dict[int, int]]:
@@ -385,8 +445,9 @@ def compactify(X: SimplicialComplex) -> tuple[SimplicialComplex, dict[int, int]]
     if not support:
         raise DomainError("complex has no vertices")
     mapping = {v: i for i, v in enumerate(support)}
-    faces = [tuple(mapping[v] for v in f) for f in X.all_faces()]
-    return SimplicialComplex(len(support), faces), mapping
+    # the mapping keeps the order of ids, so it keeps faces canonical
+    faces = {k: [tuple(mapping[v] for v in f) for f in X.faces(k)] for k in range(X.dim + 1)}
+    return SimplicialComplex._canonical(len(support), faces), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +485,17 @@ def parse_facet_text(text: str) -> tuple[int, list[Simplex]]:
 
 def _read_facet_text(path: str, what: str) -> tuple[int, list[Simplex]]:
     """parse_facet_text of a file; a missing or unreadable file, a path with a
-    NUL and text that is not UTF-8 raise InputError."""
+    NUL, a file over MAX_FILE_BYTES and text that is not UTF-8 raise
+    InputError.  The read stops one byte past the cap, so an endless file
+    (``/dev/zero``) is refused; a pipe that sends nothing still blocks."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
+        text = data.decode("utf-8")
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    if len(data) > MAX_FILE_BYTES:
+        raise InputError(f"{what} {path!r} is over {MAX_FILE_BYTES} bytes, the size cap")
     return parse_facet_text(text)
 
 

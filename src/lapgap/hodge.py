@@ -1,23 +1,24 @@
 """One lazily filled Hodge context per complex.
 
-A complex is immutable, so its missing faces, facet tables, degree
-vectors, Laplacians, spectra and coboundary ranks can each be computed
-once and kept with it.  Each of those is a fill body under ``_memo``,
-which keeps ``fill(X, *k)`` in the complex's ``_hodge`` dict under the key
-``(fill.__name__, *k)`` and makes a cached array read-only.  The context
-dies with the complex; no cache exists at module level.  No fill returns
-None, so a missing or None entry means "not filled yet".
+A complex is immutable, so its missing faces, degree vectors, Laplacians,
+spectra and coboundary ranks can each be computed once and kept with it.
+Each of those is a fill body under ``_memo``, which keeps ``fill(X, *k)``
+in the complex's ``_hodge`` dict under the key ``(fill.__name__, *k)`` and
+makes a cached array read-only.  The context dies with the complex; no
+cache exists at module level.  No fill returns None, so a missing or None
+entry means "not filled yet".  The facet tables are not filled here: the
+closure check of :class:`~lapgap.complexes.SimplicialComplex` builds them,
+and :func:`facet_index` returns them.
 
 The fills call ``complexes.missing_faces``, ``operators.laplacian``,
-``operators.coboundary_matrix``, ``spectral.eigenvalues`` and
-``spectral.rank_mod_p`` through their modules, so a wrapper installed on
-those module attributes sees every search, assembly, eigensolve and rank.
-Two of those primitives read this module in turn: ``operators.laplacian``
-and ``operators.coboundary_matrix`` fill their matrices from
-:func:`facet_index`, so they share the complex's facet tables.  The dense
-``delta_k`` is built once per complex and k, for its rank, which reduces
-its nonzeros as sparse rows and costs about as much as its fill-in, not
-its shape.
+``spectral.eigenvalues`` and ``spectral.rank_mod_p`` through their
+modules, so a wrapper installed on those module attributes sees every
+search, assembly, eigensolve and rank.  ``operators.laplacian`` and
+``operators.coboundary_matrix`` fill their matrices from
+:func:`facet_index`.  The ranks never build a dense coboundary: each
+reduces the signed rows of a facet table, and clearing leaves out the rows
+that the reduction one dimension up shows to be dependent, so a rank costs
+about its fill-in.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import complexes, operators, spectral
 from .complexes import MissingFaceReport, SimplicialComplex
+from .errors import InputError
 
 
 def _memo(fill):
@@ -59,19 +61,17 @@ def missing_faces(X: SimplicialComplex) -> MissingFaceReport:
     return complexes.missing_faces(X)
 
 
-@_memo
 def facet_index(X: SimplicialComplex, k: int) -> np.ndarray:
     """(|X(k)|, k+1) table: entry [i, j] is the position in ``X.faces(k-1)``
     of the i-th k-face with its j-th vertex dropped, -1 <= k <= dim + 1 (empty at the ends).
 
     This is the sparse form of the coboundary ``delta_{k-1}``: row i has
-    the entry (-1)**j in column [i, j] and zeros elsewhere.
+    the entry (-1)**j in column [i, j] and zeros elsewhere.  The closure
+    check built it with the complex; the array is read-only.
     """
-    position = {f: i for i, f in enumerate(X.faces(k - 1))}
-    faces = X.faces(k)
-    return np.array(
-        [position[f[:j] + f[j + 1 :]] for f in faces for j in range(k + 1)], dtype=np.intp
-    ).reshape(len(faces), k + 1)
+    if not -1 <= k <= X.dim + 1:
+        raise InputError(f"k={k} outside -1..{X.dim + 1}")
+    return X._tables[k + 1]
 
 
 @_memo
@@ -107,7 +107,31 @@ def spectrum(X: SimplicialComplex, k: int) -> spectral.Spectrum:
 
 
 @_memo
+def coboundary_pivots(X: SimplicialComplex, k: int) -> frozenset[int]:
+    """Pivot columns of ``delta_k`` over the prime field: the largest column
+    of each row that the reduction of ``spectral.rank_mod_p`` keeps.
+
+    The rows are those of ``facet_index(X, k+1)``, as ``{column: +-1}``
+    dicts, so no dense matrix is built.  Clearing (Chen & Kerber 2011):
+    a (k+1)-face that is a pivot column of ``delta_{k+1}`` is the largest
+    column of a combination c of ``delta_{k+1}``'s rows, and
+    ``c @ delta_k = 0`` writes its row of ``delta_k`` through rows of
+    smaller faces (by induction, through rows that are kept), so that row
+    is left out.  Hence the reductions run from the top dimension down,
+    and only these sets are kept.
+    """
+    if not -1 <= k <= X.dim:
+        raise InputError(f"k={k} outside -1..{X.dim}")
+    table = facet_index(X, k + 1)
+    if not len(table):
+        return frozenset()
+    cleared = coboundary_pivots(X, k + 1)
+    signs = (1, -1) * (k + 2)  # (-1)**j; zip stops at the row's end
+    rows = [dict(zip(r, signs)) for i, r in enumerate(table.tolist()) if i not in cleared]
+    spectral.rank_mod_p(rows)
+    return frozenset(max(row) for row in rows if row)
+
+
 def coboundary_rank(X: SimplicialComplex, k: int) -> int:
-    """Rank of ``delta_k`` over the prime field by sparse row reduction
-    (``spectral.rank_mod_p``), computed once per complex."""
-    return spectral.rank_mod_p(operators.coboundary_matrix(X, k).mat)
+    """Rank of ``delta_k`` over the prime field, -1 <= k <= dim."""
+    return len(coboundary_pivots(X, k))

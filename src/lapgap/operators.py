@@ -3,13 +3,17 @@
 Every matrix returned is an exact int64 matrix whose rows and columns are
 indexed by the lex-ordered tuples ``X.faces(k)`` themselves; a face's
 position is found by bisection.  :func:`laplacian` fills the stacked
-coboundaries in float64 from the facet tables that :mod:`lapgap.hodge`
-caches, and composes them by BLAS, exact here: entries of 0 and +-1 make every
-product and partial sum an integer far below 2**53.  The product is checked
-integral before the cast to int64, or :class:`~lapgap.errors.IntegrityError`
-is raised.  The dense coboundary is built once per complex and k, for its
-rank.  Faces are oriented by their sorted vertex order, so the boundary
-operator is the plain matrix transpose of the coboundary.
+coboundaries in float32 from the complex's facet tables
+(:func:`lapgap.hodge.facet_index`) and composes them by BLAS, exact here:
+entries of 0 and +-1 make every product an integer, and every partial sum
+is at most the stacked row count, which the ``MAX_DENSE_BASIS`` caps on
+|X(k+1)| and |X(k-1)| hold to 10,000, below the 2**24 up to which float32
+holds every integer.  The product is checked integral before the cast to
+int64, or :class:`~lapgap.errors.IntegrityError` is raised.  The dense
+coboundary is built only on request (``dump-matrix``, the tests); the
+ranks reduce the facet tables.  Faces are oriented by their sorted vertex
+order, so the boundary operator is the plain matrix transpose of the
+coboundary.
 """
 
 from __future__ import annotations
@@ -124,21 +128,21 @@ def coboundary_matrix(X: SimplicialComplex, k: int) -> OperatorMatrix:
 
 def laplacian(X: SimplicialComplex, k: int) -> OperatorMatrix:
     """Reduced k-Laplacian delta_k^T delta_k + delta_{k-1} delta_{k-1}^T, composed as the
-    float64 Gram product C^T C of C = [delta_k ; delta_{k-1}^T] filled from the facet
+    float32 Gram product C^T C of C = [delta_k ; delta_{k-1}^T] filled from the facet
     tables, then checked integral and cast to int64 (see the module docstring)."""
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
     _check_cap(X, k + 1, k, k - 1)
     basis, up, down = X.faces(k), hodge.facet_index(X, k + 1), hodge.facet_index(X, k)
-    # the result first: freeing the float64 work then leaves no heap hole below it
+    # the result first: freeing the float32 work then leaves no heap hole below it
     mat = np.empty((len(basis), len(basis)), dtype=np.int64)
-    stacked = np.zeros((len(up) + len(X.faces(k - 1)), len(basis)))
+    stacked = np.zeros((len(up) + len(X.faces(k - 1)), len(basis)), dtype=np.float32)
     stacked[np.arange(len(up))[:, None], up] = _facet_signs(k + 1)
     stacked[len(up) + down, np.arange(len(basis))[:, None]] = _facet_signs(k)
     gram = stacked.T @ stacked
     np.copyto(mat, gram, casting="unsafe")
     if not np.array_equal(mat, gram):
-        raise IntegrityError(f"k={k}: the float64 Laplacian product is not integral")
+        raise IntegrityError(f"k={k}: the float32 Laplacian product is not integral")
     return OperatorMatrix(basis, basis, mat)
 
 

@@ -115,16 +115,19 @@ def skeleton_spectrum(n: int, k: int, i: int) -> Spectrum:
     return Spectrum(tuple(sorted(vals)))
 
 
-def rank_mod_p(mat: np.ndarray, p: int = RANK_PRIME) -> int:
+def rank_mod_p(mat: np.ndarray | list[dict[int, int]], p: int = RANK_PRIME) -> int:
     """Exact rank of an integer matrix over the field with p elements.
 
-    Sparse row reduction, the reduction of persistent homology
-    (Edelsbrunner, Letscher & Zomorodian 2002; Zomorodian & Carlsson
-    2005): each row is a ``{column: value mod p}`` dict, reduced by the
-    stored pivot row of its largest column until that column is new, when
-    it is normalized and stored as that column's pivot.  The rank is the
-    number of pivots.  Entries are reduced mod p as Python integers, so
-    any integer or boolean dtype is exact.
+    ``mat`` is a 2-D integer array, or its rows as a list of
+    ``{column: value}`` dicts whose values are nonzero mod p; such rows are
+    reduced in place.  Sparse row reduction, the reduction of persistent
+    homology (Edelsbrunner, Letscher & Zomorodian 2002; Zomorodian &
+    Carlsson 2005): each row is reduced by the stored pivot row of its
+    largest column until that column is new, when it is normalized and
+    stored as that column's pivot.  The rank is the number of pivots, and
+    on return each given row is empty or the pivot row of its largest
+    column.  Entries are reduced mod p as Python integers, so any integer
+    or boolean dtype is exact.
 
     Cost follows fill-in, not shape.  A coboundary in lex order has k+2
     nonzeros per row, and reducing by the largest column keeps its rows
@@ -134,15 +137,18 @@ def rank_mod_p(mat: np.ndarray, p: int = RANK_PRIME) -> int:
     random 120 x 120 took 0.3 s, against 0.009 s for a dense numpy
     elimination.  Nothing in lapgap ranks a dense matrix.
     """
-    a = np.asarray(mat)
-    if a.ndim != 2 or a.dtype.kind not in "biu":
-        raise InputError(f"expected a 2-D integer matrix, got {a.dtype} {a.shape}")
-    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
-    r, c = np.nonzero(a)
-    for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
-        v %= p
-        if v:
-            rows[i][j] = v
+    if isinstance(mat, list) and (not mat or isinstance(mat[0], dict)):
+        rows = mat
+    else:
+        a = np.asarray(mat)
+        if a.ndim != 2 or a.dtype.kind not in "biu":
+            raise InputError(f"expected a 2-D integer matrix, got {a.dtype} {a.shape}")
+        rows = [{} for _ in range(a.shape[0])]
+        r, c = np.nonzero(a)
+        for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+            v %= p
+            if v:
+                rows[i][j] = v
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         get = row.get
@@ -151,7 +157,10 @@ def rank_mod_p(mat: np.ndarray, p: int = RANK_PRIME) -> int:
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = pow(row[lead], -1, p)
-                pivots[lead] = row if inv == 1 else {j: v * inv % p for j, v in row.items()}
+                if inv != 1:
+                    for j, v in row.items():
+                        row[j] = v * inv % p
+                pivots[lead] = row
                 break
             f = row[lead]
             for j, v in pivot.items():

@@ -421,6 +421,20 @@ def test_oversized_facet_or_edge_file_exits_2(capsys, tmp_path, ctor, text):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ctor", ["file", "clique"])
+def test_endless_or_over_cap_file_exits_2(capsys, tmp_path, ctor):
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"n 3\n" + b"#" * lg.complexes.MAX_FILE_BYTES)  # one byte over
+    for source in ("/dev/zero", path):
+        code, out, err = run(capsys, "build", f"{ctor}({source})")
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert f"over {lg.complexes.MAX_FILE_BYTES} bytes" in err
+    path.write_bytes(b"n 3\n" + b"#" * (lg.complexes.MAX_FILE_BYTES - 4))  # at the cap
+    code, out, err = run(capsys, "build", f"{ctor}({path})")
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("command", ["missing", "bound"])
 def test_too_many_missing_faces_exits_2(capsys, tmp_path, command):
     path = tmp_path / "x.txt"

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapgap as lg
-from lapgap import complexes
+from lapgap import complexes, hodge
 from lapgap.errors import DomainError, InputError, SizeLimitError
 
 from conftest import random_complex
@@ -125,6 +127,12 @@ def test_clique_complex_rejects_bad_edges():
         lg.clique_complex(3, [(1, 1)])
     with pytest.raises(InputError):
         lg.clique_complex(3, [(0, 5)])
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), ("a", 1), 7, (None, 1)])
+def test_clique_complex_names_a_malformed_edge(edge):
+    with pytest.raises(InputError, match=re.escape(repr(edge))):
+        lg.clique_complex(3, [(0, 1), edge])
 
 
 def test_clique_complex_missing_faces_are_edges(small_corpus):
@@ -503,12 +511,55 @@ def test_reconstruction_roundtrip(small_corpus):
 
 
 def test_constructor_rejects_open_families():
-    # (0,1,2) requires its three edges
-    with pytest.raises(InputError):
-        lg.SimplicialComplex(3, [(0, 1, 2), (0,), (1,), (2,)])
-    # closure is checked, not silently repaired
-    with pytest.raises(InputError):
-        lg.SimplicialComplex(3, [(0, 1), (0,)])
+    for faces, message in [
+        # (0,1,2) requires its three edges
+        ([(0, 1, 2), (0,), (1,), (2,)], "not downward closed: (0, 1, 2) present, (1, 2) missing"),
+        # closure is checked, not silently repaired
+        ([(0, 1), (0,)], "not downward closed: (0, 1) present, (1,) missing"),
+        ([(2, 0, 1), (0, 1), (0, 2), (0,), (1,), (2,)],
+         "not downward closed: (0, 1, 2) present, (1, 2) missing"),
+        ([(0, 3)], "face (0, 3) references vertex >= n=3"),
+        ([(0, -1)], "negative vertex id in [-1, 0]"),
+        ([(1, 1)], "duplicate vertex id 1 in face [1, 1]"),
+    ]:
+        with pytest.raises(InputError) as info:
+            lg.SimplicialComplex(3, faces)
+        assert str(info.value) == message
+
+
+def constructor_outputs():
+    """Every constructor of the module that builds faces itself, on small inputs."""
+    X = lg.from_facets(6, [{0, 1, 2, 3}, {2, 4}, {3, 4, 5}, {1, 5}])
+    yield X
+    yield lg.clique_complex(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
+    yield lg.skeleton(5, 3)
+    yield lg.join(X, lg.skeleton(2, 1))
+    yield lg.link(X, (3,))
+    yield lg.induced(X, (1, 2, 3, 5))
+    yield lg.relabel(X, [3, 5, 0, 1, 4, 2])
+    yield lg.relabel(X, np.array([3, 5, 0, 1, 4, 2]))  # ids come out as ints
+    yield lg.compactify(lg.link(X, (4,)))[0]
+    yield lg.from_missing_faces(6, [(0, 5), (1, 2, 3), (2, 4, 5)])
+    yield lg.from_missing_faces(3, [()])
+    yield lg.build_z(2, 2, 1)
+
+
+def test_constructor_faces_are_canonical_and_build_the_public_complex(small_corpus):
+    for X in [*constructor_outputs(), *small_corpus]:
+        Y = lg.SimplicialComplex(X.n, X.all_faces())
+        assert Y == X and Y.dim == X.dim
+        for k in range(-1, X.dim + 2):
+            faces = X.faces(k)
+            assert all(type(v) is int for f in faces for v in f)
+            assert all(len(f) == k + 1 and list(f) == sorted(set(f)) for f in faces)
+            assert list(faces) == sorted(faces) and faces == Y.faces(k)
+            table = hodge.facet_index(X, k)
+            assert table.shape == (len(faces), k + 1) and not table.flags.writeable
+            assert np.array_equal(table, hodge.facet_index(Y, k))
+            below = X.faces(k - 1)
+            assert [[below[i] for i in row] for row in table.tolist()] == [
+                [f[:j] + f[j + 1 :] for j in range(k + 1)] for f in faces
+            ]
 
 
 def test_facets():

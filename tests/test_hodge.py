@@ -76,9 +76,7 @@ def test_profiles_assemble_and_solve_each_laplacian_once(small_corpus, monkeypat
         for calls in (assembled, solved):
             assert set(range(X.dim + 1)) <= set(calls) <= set(range(-1, X.dim + 1))
             assert max(calls.values(), default=1) == 1
-        assert set(densified) <= set(range(-1, X.dim + 1))
-        assert max(densified.values(), default=1) == 1
-        densified.clear()
+        assert not densified  # the ranks reduce the facet tables too
 
 
 def test_missing_faces_searched_once_per_complex(small_corpus, monkeypatch):

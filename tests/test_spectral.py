@@ -289,6 +289,68 @@ def test_large_coboundary_ranks_match_the_oracle():
             assert lg.rank_mod_p(mat) == rank_mod_p_trailing(mat)
 
 
+def fresh(X):
+    """An equal complex with an empty context, so no rank is cached yet."""
+    return lg.SimplicialComplex(X.n, X.all_faces())
+
+
+def assert_cleared_ranks_are_dense_ranks(X, ks):
+    for k in ks:
+        mat = lg.coboundary_matrix(X, k).mat
+        assert hodge.coboundary_rank(X, k) == lg.rank_mod_p(mat) == rank_mod_p_trailing(mat)
+
+
+def test_cleared_ranks_match_the_dense_ranks_in_either_order(small_corpus):
+    # clearing reads the pivots one dimension up; asking for k from the
+    # bottom fills them on the way, asking from the top reuses them
+    for X in small_corpus:
+        ks = range(-1, X.dim + 1)
+        assert_cleared_ranks_are_dense_ranks(fresh(X), ks)
+        assert_cleared_ranks_are_dense_ranks(fresh(X), reversed(ks))
+        for k in ks:
+            mat = lg.coboundary_matrix(X, k).mat
+            assert hodge.coboundary_rank(X, k) == rank_mod_p_rowwise(mat)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), descending=st.booleans())
+def test_cleared_ranks_match_the_dense_ranks_on_random_complexes(seed, n, descending):
+    X = random_complex(random.Random(seed), n)
+    ks = range(-1, X.dim + 1)
+    assert_cleared_ranks_are_dense_ranks(X, reversed(ks) if descending else ks)
+
+
+def test_clearing_reduces_only_the_rows_left_over(monkeypatch):
+    # skeleton(12,5): delta_4 has rank C(12,5) = 792, so of the 1287 rows of
+    # delta_3 only 1287 - 792 = 495 are reduced; no dense matrix is built
+    reduced = {}
+    rank_mod_p = lg.spectral.rank_mod_p
+
+    def counting(rows, *args):
+        reduced[len(rows[0]) - 2 if rows else None] = len(rows)
+        return rank_mod_p(rows, *args)
+
+    def refuse(X, k):
+        raise AssertionError("a rank built a dense coboundary")
+
+    monkeypatch.setattr(lg.spectral, "rank_mod_p", counting)
+    monkeypatch.setattr(lg.operators, "coboundary_matrix", refuse)
+    X = lg.skeleton(12, 5)
+    assert hodge.coboundary_rank(X, 3) == comb(12, 4)
+    assert reduced == {4: 1716, 3: 1287 - 792}
+    assert [hodge.coboundary_rank(X, k) for k in range(-1, 6)] == [1, 12, 66, 220, 495, 792, 0]
+
+
+def test_rank_mod_p_reduces_sparse_rows_in_place():
+    M = np.array([[1, -1, 0], [0, 1, -1], [1, 0, -1], [0, 0, 2]])
+    rows = [{j: int(v) for j, v in enumerate(r) if v} for r in M]
+    assert lg.rank_mod_p(rows) == lg.rank_mod_p(M) == 3
+    leads = [max(row) for row in rows if row]
+    assert len(leads) == len(set(leads)) == 3
+    assert all(row[max(row)] == 1 for row in rows if row)  # normalized pivots
+    assert lg.rank_mod_p([]) == 0
+
+
 # --- balanced kernels ---------------------------------------------------------------
 
 

@@ -7,9 +7,13 @@ The central chain, verified per dimension and surfaced as a
                                   ==  Gershgorin bound of L_k
                                   <=  mu_k,
 
-where d is the maximal dimension of a missing face.  The middle equality is
-exact in integer arithmetic; violations raise
-:class:`~lapgap.errors.IntegrityError`.
+where d is the maximal dimension of a missing face.  Three checks raise
+:class:`~lapgap.errors.IntegrityError`: the middle equality, exact in
+integers; the main bound against the row bound, exact in integers; and
+mu_k against the Gershgorin bound, within ``spectral.PSD_TOL``.  mu_k >=
+the main bound then follows, so it is not checked again.  A fourth check
+is the homology-vanishing corollary: every reduced Betti number from the
+threshold k_min up is 0.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ from . import hodge
 from .complexes import Simplex, SimplicialComplex, min_degree, simplex
 from .errors import DomainError, InputError, IntegrityError
 from .operators import OperatorMatrix
-from .spectral import betti, spectral_gap
+from .spectral import PSD_TOL, betti, spectral_gap
 
 BOUND_TOL = 1e-7
-EIG_SLACK = 1e-9
 
 
 def gershgorin_lower_bound(M: OperatorMatrix | np.ndarray) -> int | float:
@@ -168,8 +171,8 @@ def spectral_gap_bound(X: SimplicialComplex, k: int) -> BoundReport:
     d and ``d_convention`` are X's own, from ``effective_missing_dim`` (the
     missing-face search runs once per complex).  Asserts, raising
     IntegrityError otherwise: the degree row bound equals the Gershgorin
-    bound exactly; the main bound does not exceed it; and mu_k respects
-    both within floating tolerance.
+    bound exactly; the main bound does not exceed it; and mu_k is not below
+    it by more than ``spectral.PSD_TOL``, so mu_k >= bound - PSD_TOL too.
     """
     if not -1 <= k <= X.dim:
         raise DomainError(f"bound undefined for k={k} (no k-faces)")
@@ -191,10 +194,8 @@ def spectral_gap_bound(X: SimplicialComplex, k: int) -> BoundReport:
 
     if bound > row:
         raise IntegrityError(f"k={k}: bound {bound} exceeds row bound {row}")
-    if mu < gersh - EIG_SLACK:
+    if mu < gersh - PSD_TOL:
         raise IntegrityError(f"k={k}: mu={mu} below Gershgorin bound {gersh}")
-    if mu < bound - BOUND_TOL:
-        raise IntegrityError(f"k={k}: mu={mu} violates lower bound {bound}")
 
     slack = mu - bound
     return BoundReport(
@@ -221,18 +222,17 @@ class VanishingReport:
     """Smallest dimension past which cohomology provably vanishes."""
 
     k_min: int
-    verified: bool
     d: int
     d_convention: bool
 
 
 def vanishing_threshold(X: SimplicialComplex) -> VanishingReport:
-    """Smallest k with (d+1)(k+1) > d*n, plus a Betti check up to dim X."""
+    """Smallest k with (d+1)(k+1) > d*n; a nonzero reduced Betti number from
+    there up to dim X contradicts the corollary and raises IntegrityError."""
     d, conv = effective_missing_dim(X)
     n = X.num_vertices
-    k_min = (d * n) // (d + 1)
-    # smallest integer k with k > d*n/(d+1) - 1
-    if not (d + 1) * (k_min + 1) > d * n >= (d + 1) * k_min:
-        raise IntegrityError(f"k_min={k_min} is not the vanishing threshold for d={d}, n={n}")
-    verified = all(betti(X, k) == 0 for k in range(k_min, X.dim + 1))
-    return VanishingReport(k_min=k_min, verified=verified, d=d, d_convention=conv)
+    k_min = (d * n) // (d + 1)  # the smallest integer k with k > d*n/(d+1) - 1
+    for k in range(k_min, X.dim + 1):
+        if b := betti(X, k):
+            raise IntegrityError(f"k={k}: reduced Betti number {b} != 0 at or above k_min={k_min}")
+    return VanishingReport(k_min=k_min, d=d, d_convention=conv)

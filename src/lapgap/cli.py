@@ -264,7 +264,10 @@ def _cmd_equality(args, out) -> int:
 
 
 def _cmd_probe(args, out) -> int:
-    report = extremal.probe_equality_cases(args.d, args.n, args.mode, args.budget, args.seed)
+    if args.seed is not None and args.mode != "random":
+        raise InputError("--seed applies to --mode random only")
+    seed = 0 if args.seed is None else args.seed
+    report = extremal.probe_equality_cases(args.d, args.n, args.mode, args.budget, seed)
     for hit in report.hits:
         _emit(
             {
@@ -300,7 +303,12 @@ def _cmd_dump_matrix(args, out) -> int:
     else:
         M = operators.coboundary_matrix(X, k)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            reason = getattr(exc, "strerror", None) or exc
+            raise InputError(f"cannot write {args.out!r}: {reason}") from None
+        with fh:
             M.dump(fh)
     else:
         M.dump(out)
@@ -357,7 +365,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     common(p, expr=False, k=False)
 
     p = sub.add_parser("dump-matrix", help="write an operator matrix as text triples")

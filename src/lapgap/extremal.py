@@ -23,6 +23,7 @@ import numpy as np
 from . import hodge, spectral
 from .bounds import BOUND_TOL, gershgorin_lower_bound
 from .complexes import (
+    MAX_FACES,
     Simplex,
     SimplicialComplex,
     check_face_count,
@@ -456,14 +457,32 @@ def _verify_hit(X: SimplicialComplex, d: int, k: int, target: int) -> ProbeHit:
 def _cliques(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
     """The graph's cliques of every cardinality 1..n as vertex bitmasks, in
     the order of ``itertools.combinations``: a (c+1)-clique is a c-clique
-    grown by a larger vertex adjacent to all of it."""
+    grown by a larger vertex adjacent to all of it.  Past MAX_FACES cliques,
+    the cap of ``clique_complex``, raises SizeLimitError.  The count is
+    checked after each chunk of c-cliques is grown: a clique grows into
+    fewer than n, so a chunk of (MAX_FACES - held) // n + 1 of them leaves
+    at most MAX_FACES + n held.  Below n = 9 (at most 511 cliques) each
+    cardinality is one chunk."""
     adj = [0] * n
     for u, w in edges:
         adj[u] |= 1 << w
         adj[w] |= 1 << u
     out = {1: [1 << v for v in range(n)]}
+    held = n
     for c in range(2, n + 1):
-        out[c] = [s | 1 << v for s in out[c - 1] for v in range(s.bit_length(), n) if adj[v] & s == s]
+        parents, out[c] = out[c - 1], []
+        start = 0
+        while start < len(parents):
+            stop = start + (MAX_FACES - held) // n + 1
+            grown = [s | 1 << v for s in parents[start:stop]
+                     for v in range(s.bit_length(), n) if adj[v] & s == s]
+            out[c] += grown
+            held += len(grown)
+            start = stop
+            if held > MAX_FACES:
+                raise SizeLimitError(
+                    f"the graph on {n} vertices has over {MAX_FACES} cliques, the size cap"
+                )
     return out
 
 

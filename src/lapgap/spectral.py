@@ -244,7 +244,7 @@ def spectrum_table(X: SimplicialComplex) -> dict[int, Spectrum]:
 
 
 def join_spectrum(
-    factor_tables: Sequence[Mapping[int, Spectrum | Sequence[float]]], k: int
+    factor_tables: Sequence[Mapping[int, Spectrum]], k: int
 ) -> Spectrum:
     """Spectrum of a join composed from its factors' per-dimension spectra.
 
@@ -260,11 +260,9 @@ def join_spectrum(
         ks = sorted(t.keys())
         if not ks or ks[0] != -1 or ks != list(range(-1, ks[-1] + 1)):
             raise InputError("each factor table must cover dimensions -1..dim")
+        if not all(isinstance(v, Spectrum) for v in t.values()):
+            raise InputError("each factor table must map dimensions to Spectrum values")
         dims.append(ks[-1])
-
-    def vals(j: int, i: int) -> tuple[float, ...]:
-        entry = factor_tables[j][i]
-        return entry.values if isinstance(entry, Spectrum) else tuple(float(v) for v in entry)
 
     target = k - m + 1
     out: list[float] = []
@@ -279,7 +277,7 @@ def join_spectrum(
         lo = max(-1, remaining - rest_max)
         hi = min(dims[j], remaining - rest_min)
         for i in range(lo, hi + 1):
-            vs = vals(j, i)
+            vs = factor_tables[j][i].values
             rec(j + 1, remaining - i, [s + v for s in sums for v in vs])
 
     rec(0, target, [0.0])

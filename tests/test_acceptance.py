@@ -149,8 +149,7 @@ def test_criterion_5_hodge_and_vanishing(corpus):
             b = lg.betti(X, k)
             mu = lg.spectral_gap(X, k)
             assert (b == 0) == (mu > 1e-7), (X, k)
-        report = lg.vanishing_threshold(X)
-        assert report.verified, X
+        report = lg.vanishing_threshold(X)  # raises on a nonzero Betti number from k_min up
         for k in range(report.k_min, X.dim + 1):
             assert lg.betti(X, k) == 0
 

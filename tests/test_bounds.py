@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapgap as lg
-from lapgap.errors import DomainError, InputError
+from lapgap import bounds, hodge
+from lapgap.errors import DomainError, InputError, IntegrityError
+from lapgap.spectral import PSD_TOL
 
 from conftest import random_complex
 
@@ -177,6 +179,46 @@ def test_bound_domain_error():
         lg.spectral_gap_bound(c5(), 5)
 
 
+# --- each check of the chain fires -----------------------------------------------------
+# A fault goes in through a module attribute the check calls, on a freshly
+# built complex: the Hodge context keeps its values per complex.
+
+
+def test_gershgorin_off_the_degree_row_bound_raises(monkeypatch):
+    sums = hodge.facet_degree_sums
+
+    def one_more_at_the_least_row(X, k):
+        out = sums(X, k).copy()
+        rows = (k + 2) * hodge.degrees(X, k) + 2 * (k + 1) - out
+        out[rows.argmin()] += 1
+        return out
+
+    monkeypatch.setattr(hodge, "facet_degree_sums", one_more_at_the_least_row)
+    with pytest.raises(IntegrityError, match="k=0: Gershgorin bound 1 differs from degree row bound 0"):
+        lg.spectral_gap_bound(c5(), 0)
+
+
+def test_bound_above_the_row_bound_raises(monkeypatch):
+    min_degree = bounds.min_degree
+    monkeypatch.setattr(bounds, "min_degree", lambda X, k: min_degree(X, k) + 5)
+    # d = 2, so the bound grows by 3 * 5 from the row bound 4, where Z(2,2,1) is tight
+    with pytest.raises(IntegrityError, match="k=1: bound 19 exceeds row bound 4"):
+        lg.spectral_gap_bound(lg.build_z(2, 2, 1), 1)
+
+
+@pytest.mark.parametrize("below,raises", [(0.5, True), (2 * PSD_TOL, True), (PSD_TOL / 2, False)])
+def test_mu_below_gershgorin_raises(monkeypatch, below, raises):
+    def gap(X, k):
+        return bounds.gershgorin_lower_bound(hodge.laplacian(X, k)) - below
+
+    monkeypatch.setattr(bounds, "spectral_gap", gap)
+    if not raises:
+        assert lg.spectral_gap_bound(c5(), 0).mu == 1 - below
+        return
+    with pytest.raises(IntegrityError, match=f"k=0: mu={1 - below} below Gershgorin bound 1"):
+        lg.spectral_gap_bound(c5(), 0)
+
+
 # --- settings that only one value ever reached -------------------------------------------
 
 RETIRED = {
@@ -210,22 +252,29 @@ def test_reports_carry_no_tolerance():
 
 def test_vanishing_examples():
     rep = lg.vanishing_threshold(c5())
-    assert rep.k_min == 2 and rep.verified and rep.d == 1
+    assert rep.k_min == 2 and rep.d == 1
 
     X = lg.from_missing_faces(6, [(0, 1, 2)])  # h = 2 on six vertices
     rep = lg.vanishing_threshold(X)
-    assert rep.k_min == 4 and rep.verified
+    assert rep.k_min == 4
 
     rep = lg.vanishing_threshold(lg.full_simplex(4))
-    assert rep.verified and rep.d_convention
+    assert rep.k_min == 0 and rep.d_convention
 
 
 def test_vanishing_over_corpus(small_corpus):
     for X in small_corpus[:25]:
-        rep = lg.vanishing_threshold(X)
-        assert rep.verified
+        rep = lg.vanishing_threshold(X)  # raises on a nonzero Betti number from k_min up
         for k in range(rep.k_min, X.dim + 1):
             assert lg.betti(X, k) == 0
+
+
+def test_nonzero_betti_from_k_min_up_raises(monkeypatch):
+    betti = bounds.betti
+    monkeypatch.setattr(bounds, "betti", lambda X, k: 1 if k == 4 else betti(X, k))
+    X = lg.from_missing_faces(6, [(0, 1, 2)])  # d = 2, n = 6: k_min = 4 = dim
+    with pytest.raises(IntegrityError, match="k=4: reduced Betti number 1 != 0 at or above k_min=4"):
+        lg.vanishing_threshold(X)
 
 
 # --- monotone sanity: adding faces keeps every check healthy ----------------------------
@@ -244,6 +293,6 @@ def test_supercomplex_keeps_identities():
         assert X.num_faces < Y.num_faces
         for rep in lg.bound_profile(Y):
             assert rep.mu >= rep.bound - 1e-7
-        assert lg.vanishing_threshold(Y).verified
+        lg.vanishing_threshold(Y)  # raises on a nonzero Betti number from k_min up
         checked += 1
     assert checked >= 5

@@ -468,6 +468,37 @@ def test_dump_matrix_subcommand(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == "2 2\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n"
 
 
+@pytest.mark.parametrize("where,why", [
+    ("missing/x.txt", "No such file or directory"),
+    (".", "Is a directory"),
+    ("file.txt/x.txt", "Not a directory"),
+    ("x\0.txt", "embedded null byte"),
+])
+def test_dump_matrix_to_a_bad_path_exits_2(capsys, tmp_path, where, why):
+    (tmp_path / "file.txt").write_text("")
+    code, out, err = run(capsys, "dump-matrix", "skeleton(1,0)", "--k", "0", "--out",
+                         str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: cannot write") and why in err and err.count("\n") == 1
+
+
+def test_random_probe_past_the_clique_cap_exits_2(capsys):
+    # the first sample keeps each edge of K_40 with probability 0.92, past MAX_FACES cliques
+    code, out, err = run(capsys, "probe", "--d", "2", "--n", "40", "--mode", "random",
+                         "--budget", "3", "--seed", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "cliques, the size cap" in err
+    assert err.count("\n") == 1
+
+
+def test_probe_seed_is_for_random_mode_only(capsys):
+    code, out, err = run(capsys, "probe", "--d", "2", "--n", "5", "--seed", "9")
+    assert code == 2 and out == ""
+    assert err == "input error: --seed applies to --mode random only\n"
+    random_mode = ("probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "50")
+    assert run(capsys, *random_mode) == run(capsys, *random_mode, "--seed", "0")
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "gap", "simplex(2)", "--k", "0", "--format", "text")
     assert code == 0

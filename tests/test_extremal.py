@@ -188,6 +188,25 @@ def test_equality_check_shuffled_labels():
     assert verdict.holds and verdict.witness is not None
 
 
+@pytest.mark.parametrize("cap,raises", [(2**6 - 1, False), (2**6 - 2, True)])
+def test_cliques_are_capped_as_they_are_built(monkeypatch, cap, raises):
+    # K_6 has 2**6 - 1 nonempty cliques
+    monkeypatch.setattr(lg.extremal, "MAX_FACES", cap)
+    edges = list(combinations(range(6), 2))
+    if raises:
+        with pytest.raises(SizeLimitError, match=f"over {cap} cliques"):
+            lg.extremal._cliques(6, edges)
+    else:
+        assert sum(map(len, lg.extremal._cliques(6, edges).values())) == cap
+
+
+def test_equality_without_an_isomorphism_raises(monkeypatch):
+    # mu_2 = 2*3 - 5 holds on the canonical complex; no witness contradicts the theorem
+    monkeypatch.setattr(lg.extremal, "isomorphic", lambda X, Y: None)
+    with pytest.raises(IntegrityError, match="mu_2 = 1 holds but the complex is not isomorphic"):
+        lg.equality_case_check(lg.canonical_equality_complex(5, 2), 2)
+
+
 def test_equality_check_requires_clique_complex():
     with pytest.raises(InputError):
         lg.equality_case_check(lg.skeleton(2, 1), 1)  # missing face of dimension 2
@@ -702,7 +721,7 @@ def test_one_screen_serves_every_mode(monkeypatch):
     monkeypatch.setattr(lg.extremal._Screen, "min_rows", lambda self, live: min_rows(self, live) - 1)
     for kw in (dict(d=3, n=5), dict(d=2, n=5, mode="random", budget=200),
                dict(d=3, n=5, mode="random", budget=1000)):
-        with pytest.raises(IntegrityError, match="the bound is violated"):
+        with pytest.raises(IntegrityError, match="degree row bound .* the bound is violated"):
             lg.probe_equality_cases(**kw)
 
 

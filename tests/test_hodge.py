@@ -102,7 +102,7 @@ def test_missing_faces_searched_once_per_complex(small_corpus, monkeypatch):
 def test_non_integral_product_raises(monkeypatch):
     signs = operators._facet_signs
     monkeypatch.setattr(operators, "_facet_signs", lambda k: signs(k) * 0.5)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="k=1: the float32 Laplacian product is not integral"):
         lg.laplacian(lg.skeleton(2, 1), 1)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import warnings
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapgap as lg
-from lapgap import hodge
+from lapgap import hodge, spectral
 from lapgap.errors import DomainError, InputError, IntegrityError
 
 from conftest import random_complex
@@ -469,6 +470,8 @@ def test_join_spectrum_table_validation():
         lg.join_spectrum([], 0)
     with pytest.raises(InputError):
         lg.join_spectrum([{0: [1.0]}], 0)  # table must start at -1
+    with pytest.raises(InputError, match="Spectrum"):
+        lg.join_spectrum([{-1: [1.0], 0: [1.0]}], 0)  # floats are not a Spectrum
 
 
 # --- trace and profile ----------------------------------------------------------------
@@ -491,3 +494,43 @@ def test_spectral_profile_shape():
     assert prof.rows[0].gap == 5.0
     assert prof.rows[2].betti == 1  # the cycle
     assert prof.rows[1].spectrum.size == 5
+
+
+# --- each check fires ------------------------------------------------------------------
+# A fault goes in through a module attribute the check calls, on a freshly
+# built complex: the Hodge context keeps its values per complex.
+
+
+def test_negative_eigenvalue_raises(monkeypatch):
+    eigenvalues = spectral.eigenvalues
+    monkeypatch.setattr(spectral, "eigenvalues",
+                        lambda M: lg.Spectrum((-1e-6,) + eigenvalues(M).values[1:]))
+    with pytest.raises(IntegrityError, match="eigenvalue -1e-06 < -1e-09; not PSD"):
+        lg.spectral_gap(c5(), 0)
+
+
+def test_kernel_count_off_the_field_rank_raises(monkeypatch):
+    eigenvalues = spectral.eigenvalues
+
+    def one_zero_moved(M):
+        vals = list(eigenvalues(M).values)
+        assert abs(vals[0]) < spectral.ZERO_EIG_TOL < vals[1]  # the cycle's one zero
+        return lg.spectrum_of([1.0] + vals[1:])
+
+    monkeypatch.setattr(spectral, "eigenvalues", one_zero_moved)
+    with pytest.raises(IntegrityError, match="betti mismatch at k=1: kernel count 0 vs field rank 1"):
+        lg.betti(c5(), 1)
+
+
+def test_balanced_kernel_checks_its_vectors():
+    # a copy with the sign rule flipped builds (1, -1), which M does not annihilate
+    M = np.array([[1, -1], [-1, 1]])
+    assert [x.tolist() for x in spectral.balanced_kernel(M)] == [[1, 1]]
+    source = inspect.getsource(spectral.balanced_kernel)
+    rule = "s = -sign[i] if a > 0 else sign[i]"
+    assert source.count(rule) == 1
+    namespace = dict(vars(spectral))
+    flipped = source.replace(rule, "s = sign[i] if a > 0 else -sign[i]")
+    exec(compile(flipped, spectral.__file__, "exec"), namespace)
+    with pytest.raises(IntegrityError, match="a balanced kernel vector is not in the kernel"):
+        namespace["balanced_kernel"](M)

@@ -517,7 +517,8 @@ def test_output_is_deterministic(capsys):
 FACETS = "n 6\n# a facet file\n0 1 2\n1 2 3\n2 3 4\n3 4 5\n0 5\n0 3\n"
 
 
-@pytest.mark.parametrize("argv,digest", [
+# stdout of every subcommand in each format it accepts
+STDOUT_PINS = [
     pytest.param(("bound", "Z(2,2,1)", "--k", "all"),
                  "320e023401bb5ea51af4607baffcc248e5e1aa393cc57b10377ac4bf1093b885", id="bound-json"),
     pytest.param(("bound", "Z(2,2,1)", "--k", "all", "--format", "text"),
@@ -538,14 +539,90 @@ FACETS = "n 6\n# a facet file\n0 1 2\n1 2 3\n2 3 4\n3 4 5\n0 5\n0 3\n"
     pytest.param(("dump-matrix", "skeleton(10,4)", "--k", "4", "--operator", "coboundary"),
                  "efd5c831873aef8da9f4d9991bd8de1125e1ab84c2501713beae635165e84ecb",
                  id="dump-coboundary"),
-])
+    pytest.param(("build", "file(facets.txt)"),
+                 "229eea0206e3516774732efd3f94d0e8af63054bf40e2f1e477fa3a5a33a9d18", id="build-json"),
+    pytest.param(("build", "Z(1,2,1)", "--format", "text"),
+                 "af4546b9fc8cba357fbb277addcd32f674ffd37c4f80747fca9f715e7964de1c", id="build-text"),
+    pytest.param(("spectrum", "Z(1,2,1)", "--format", "text"),
+                 "768e65ac08d01d81c966e6ee30020f3e98d20c8fe7be94b83487dfb5db578b96",
+                 id="spectrum-text"),
+    pytest.param(("gap", "skeleton(3,1)", "--format", "text"),
+                 "49bc581172b6be2b18af9bc4c5e3d844406f40679a852300ea50041d29a53499", id="gap-text"),
+    pytest.param(("betti", "file(facets.txt)", "--format", "text"),
+                 "99b04d738181dba53fad400c5c84891f530f626dba5bef3e6e5a7c703473c015", id="betti-text"),
+    pytest.param(("missing", "file(facets.txt)"),
+                 "e105b1d93dfc9785b09c90e03e70bff2d603057df77592ba67193fc23f02c872",
+                 id="missing-json"),
+    pytest.param(("missing", "Z(2,1,2)", "--format", "text"),
+                 "09aa03f3796e5895b7c1865b8c4e981ea32351bd3afef35c710643db0c730f88",
+                 id="missing-text"),
+    pytest.param(("verify-z", "1", "2", "1", "--format", "text"),
+                 "a5ef10629b2cc7f5527711e14d9a8209759a9d3a895a828b6bbfcb35c9c127d8",
+                 id="verify-z-text"),
+    pytest.param(("equality", "join(join(skeleton(1,0), skeleton(1,0)), simplex(0))", "--k", "2"),
+                 "797a4dbbf824fd0f74681dca445a4c44e62a8f3b52c417520fa35385a3ee1913",
+                 id="equality-json"),
+    # a witness that moves vertices, printed in vertex order
+    pytest.param(("equality", "join(join(skeleton(1,0), simplex(0)), skeleton(1,0))", "--k", "2",
+                  "--format", "text"),
+                 "22573dc8f694e0bb4fc48eb9f902cf364cc75832ce762aacce9affe2b47d7e8d",
+                 id="equality-text"),
+    pytest.param(("equality", "join(skeleton(1,0), skeleton(1,0))", "--k", "0"),
+                 "1ac4eb42c13c0a71592624bd63b3b53dc1a5f7f26f58b4f5665e66305bfbcecf",
+                 id="equality-fails"),
+    pytest.param(("probe", "--d", "2", "--n", "5"),
+                 "f9c07e442820bbacf33c315537659b9bcac62f6eea5d76210780f6d6ebcd6dbd", id="probe-json"),
+    pytest.param(("probe", "--d", "2", "--n", "5", "--mode", "random", "--budget", "50",
+                  "--format", "text"),
+                 "abd2efe52b130700f3d1239e3194d57220f979cf6900a834bae1bf72c28f27ae", id="probe-text"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_PINS)
 def test_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv, digest):
-    """Stdout byte for byte of bound, spectrum, gap, betti, verify-z and
-    dump-matrix, json and text, on a constructor and on a facet file."""
+    """Stdout byte for byte of every subcommand, json and text, on
+    constructors and on a facet file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "facets.txt").write_text(FACETS, encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+HELP_PINS = [
+    pytest.param((), "11bbd3e0d9a993ce6b97693e0bb3e2df7b692ba57b2e5f8a183bd28edf9df915", id="lapgap"),
+    pytest.param(("build",), "d7c0bbd89a3988913041cd44288c7a8ed387102f8c4b1c84f38c8ce28c4e01de",
+                 id="build"),
+    pytest.param(("spectrum",), "d41c76af5b98d100a8ffe281a538edc3e4ee4acedd521324d1a9a0f32f0037c2",
+                 id="spectrum"),
+    pytest.param(("gap",), "2536411fc7bf88935d8889ebde55d5ebbe2e0cf376f2cbb12efc06c323919e29",
+                 id="gap"),
+    pytest.param(("betti",), "0e9e29da660d01bb11f5f95f760f10e6ca68dbe74f885e5011dc8adc9bf2c651",
+                 id="betti"),
+    pytest.param(("missing",), "5f7f45cdd4b38b2e96e93e2a8cdfa1d2fea1a8de923f230f4a112442f5892911",
+                 id="missing"),
+    pytest.param(("bound",), "9340fa8fe7df54e3c869bca3e939f5b0069d409fa2e0bf53017deb42e749821e",
+                 id="bound"),
+    pytest.param(("verify-z",), "ed874ccc18390dda97d29b90a86b9856a96ba05bedeaa331a2062e8425c5930b",
+                 id="verify-z"),
+    pytest.param(("equality",), "3be1a564ea1fe5d16bff69a98b2bf3fafb1bab8bf20f3246bf8761dd7b2810f7",
+                 id="equality"),
+    pytest.param(("probe",), "2db2151a3cf143b9528e67cee5290a604abe66798b076f066f9b2128290151cd",
+                 id="probe"),
+    pytest.param(("dump-matrix",),
+                 "939e8414c5e7cf097fe518030922fefba84a8b42b9f09d8c9e3ba70c68d1e960",
+                 id="dump-matrix"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", HELP_PINS)
+def test_help_is_pinned(capsys, monkeypatch, argv, digest):
+    """``--help`` of lapgap and of each subcommand byte for byte, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

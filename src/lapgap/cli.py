@@ -1,8 +1,11 @@
 """Command-line front end: build complexes, run profiles, bounds, and probes.
 
 Every subcommand is a thin adapter over the library modules; no numerical
-logic lives here.  Output is deterministic: dict keys are emitted in fixed
-order and floats are formatted to 12 significant digits.
+logic lives here.  Each is declared once, as a row of ``_COMMANDS``: its
+help, its arguments and its handler; the argument parser is built from the
+table.  Every report is printed by one rule, ``_plain``: a dataclass as its
+fields in declaration order, floats at 12 significant digits, tuples as
+lists and dict keys as strings; a line is JSON or ``key=value`` pairs.
 
 Exit codes: 0 success, 1 failed internal assertion or integrity check,
 2 invalid input, 141 stdout closed by its reader (the status of a process
@@ -17,7 +20,7 @@ import json
 import os
 import re
 import sys
-from typing import NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import bounds as bounds_mod
 from . import complexes as cx
@@ -124,10 +127,24 @@ def parse_constructor(text: str) -> cx.SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# printing: every report by one rule
 
 
-def _emit(obj: dict, fmt: str, out) -> None:
+def _plain(x):
+    """x as JSON data: a dataclass as its fields in declaration order, floats
+    through _fnum, tuples as lists and dict keys as strings."""
+    if dataclasses.is_dataclass(x):
+        x = {field.name: getattr(x, field.name) for field in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {str(key): _plain(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(value) for value in x]
+    return _fnum(x) if isinstance(x, float) else x
+
+
+def _emit(report, fmt: str, out) -> None:
+    """One line: a report dataclass or dict, as JSON or as key=value pairs."""
+    obj = _plain(report)
     if fmt == "json":
         out.write(json.dumps(obj) + "\n")
     else:
@@ -153,145 +170,69 @@ def _one_k(X: cx.SimplicialComplex, kflag: str, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed arguments and stdout, prints,
+# and returns the exit code; library functions are looked up when called
+
+
+def _per_k(row):
+    """The handler that prints ``row(X, k)`` for each k of --k."""
+
+    def handler(args, out) -> int:
+        X = parse_constructor(args.expr)
+        for k in _k_list(X, args.k):
+            _emit(row(X, k), args.format, out)
+        return 0
+
+    return handler
 
 
 def _cmd_build(args, out) -> int:
     X = parse_constructor(args.expr)
-    _emit(
-        {
-            "n": X.n,
-            "dim": X.dim,
-            "f_vector": list(X.f_vector()),
-            "facets": [list(f) for f in cx.facets(X)],
-        },
-        args.format,
-        out,
-    )
+    _emit({"n": X.n, "dim": X.dim, "f_vector": X.f_vector(), "facets": cx.facets(X)},
+          args.format, out)
     return 0
 
 
 def _cmd_spectrum(args, out) -> int:
     X = parse_constructor(args.expr)
-    rows = [
-        {
-            "k": k,
-            "gap": _fnum(spectral.spectral_gap(X, k)),
-            "betti": spectral.betti(X, k),
-            "spectrum": [_fnum(v) for v in hodge.spectrum(X, k).values],
-        }
-        for k in _k_list(X, args.k)
-    ]
+    rows = [{"k": k, "gap": spectral.spectral_gap(X, k), "betti": spectral.betti(X, k),
+             "spectrum": hodge.spectrum(X, k).values} for k in _k_list(X, args.k)]
     _emit({"n": X.n, "dim": X.dim, "profile": rows}, args.format, out)
-    return 0
-
-
-def _cmd_gap(args, out) -> int:
-    X = parse_constructor(args.expr)
-    for k in _k_list(X, args.k):
-        _emit({"k": k, "gap": _fnum(spectral.spectral_gap(X, k))}, args.format, out)
-    return 0
-
-
-def _cmd_betti(args, out) -> int:
-    X = parse_constructor(args.expr)
-    for k in _k_list(X, args.k):
-        _emit({"k": k, "betti": spectral.betti(X, k)}, args.format, out)
     return 0
 
 
 def _cmd_missing(args, out) -> int:
     X = parse_constructor(args.expr)
     report = hodge.missing_faces(X)
-    _emit(
-        {"n": X.n, "h": report.h, "missing": [list(f) for f in report.missing]},
-        args.format,
-        out,
-    )
+    _emit({"n": X.n, "h": report.h, "missing": report.missing}, args.format, out)
     return 0
 
 
-def _cmd_bound(args, out) -> int:
-    X = parse_constructor(args.expr)
-    for k in _k_list(X, args.k):
-        obj = dataclasses.asdict(bounds_mod.spectral_gap_bound(X, k))
-        obj["mu"] = _fnum(obj["mu"])
-        obj["slack"] = _fnum(obj["slack"])
-        _emit(obj, args.format, out)
-    return 0
+# the fields of extremal.ZVerifyRow that verify-z prints, in order
+_Z_ROW_FIELDS = ("k", "mu_predicted", "mu_eigen", "mu_join", "delta_predicted", "delta_actual",
+                 "bound_identity")
 
 
 def _cmd_verify_z(args, out) -> int:
     report = extremal.verify_z_family(args.d, args.t, args.r)
-    rows = [
-        {
-            "k": row.k,
-            "mu_predicted": row.mu_predicted,
-            "mu_eigen": _fnum(row.mu_eigen),
-            "mu_join": _fnum(row.mu_join),
-            "delta_predicted": row.delta_predicted,
-            "delta_actual": row.delta_actual,
-            "bound_identity": row.bound_identity,
-        }
-        for row in report.rows
-    ]
-    _emit(
-        {"d": report.d, "t": report.t, "r": report.r, "ok": report.ok, "rows": rows},
-        args.format,
-        out,
-    )
+    rows = [{name: getattr(row, name) for name in _Z_ROW_FIELDS} for row in report.rows]
+    _emit({"d": report.d, "t": report.t, "r": report.r, "ok": report.ok, "rows": rows},
+          args.format, out)
     return 0 if report.ok else 1
 
 
 def _cmd_equality(args, out) -> int:
     X = parse_constructor(args.expr)
-    k = _one_k(X, args.k, "equality check")
-    verdict = extremal.equality_case_check(X, k)
-    _emit(
-        {
-            "k": verdict.k,
-            "holds": verdict.holds,
-            "mu": _fnum(verdict.mu),
-            "target": verdict.target,
-            "witness": None
-            if verdict.witness is None
-            else {str(a): b for a, b in sorted(verdict.witness.items())},
-        },
-        args.format,
-        out,
-    )
+    _emit(extremal.equality_case_check(X, _one_k(X, args.k, "equality check")), args.format, out)
     return 0
 
 
 def _cmd_probe(args, out) -> int:
-    if args.seed is not None and args.mode != "random":
-        raise InputError("--seed applies to --mode random only")
-    seed = 0 if args.seed is None else args.seed
-    report = extremal.probe_equality_cases(args.d, args.n, args.mode, args.budget, seed)
+    report = extremal.probe_equality_cases(args.d, args.n, args.mode, args.budget, args.seed)
     for hit in report.hits:
-        _emit(
-            {
-                "n": hit.n,
-                "d": hit.d,
-                "k": hit.k,
-                "mu": _fnum(hit.mu),
-                "target": hit.target,
-                "isomorphic_to_canonical": hit.isomorphic_to_canonical,
-                "facets": [list(f) for f in hit.facets],
-            },
-            args.format,
-            out,
-        )
-    _emit(
-        {
-            "examined": report.examined,
-            "complete": report.complete,
-            "hits": len(report.hits),
-            "counterexamples": len(report.counterexamples),
-        },
-        args.format,
-        out,
-    )
+        _emit(hit, args.format, out)
+    _emit({"examined": report.examined, "complete": report.complete, "hits": len(report.hits),
+           "counterexamples": len(report.counterexamples)}, args.format, out)
     return 0
 
 
@@ -316,6 +257,65 @@ def _cmd_dump_matrix(args, out) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the subcommands, each declared once: its help, its arguments as
+# (name or flag, add_argument keywords) in the order --help lists them, and
+# its handler
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: tuple[tuple[str, dict], ...]
+    run: Callable
+
+
+EXPR_ARG = ("expr", {"help": "constructor expression, e.g. 'Z(2,2,1)' or 'file(x.txt)'"})
+K_ARG = ("--k", {"default": "all", "help": "dimension, integer or 'all'"})
+FORMAT_ARG = ("--format", {"choices": ("json", "text"), "default": "json"})
+EXPR_K_FORMAT = (EXPR_ARG, K_ARG, FORMAT_ARG)
+
+_COMMANDS = {
+    "build": _Command("construct a complex and print its summary", (EXPR_ARG, FORMAT_ARG),
+                      _cmd_build),
+    "spectrum": _Command("per-dimension gaps, Betti numbers and spectra", EXPR_K_FORMAT,
+                         _cmd_spectrum),
+    "gap": _Command("smallest Laplacian eigenvalue per dimension", EXPR_K_FORMAT,
+                    _per_k(lambda X, k: {"k": k, "gap": spectral.spectral_gap(X, k)})),
+    "betti": _Command("reduced Betti numbers (dual-route verified)", EXPR_K_FORMAT,
+                      _per_k(lambda X, k: {"k": k, "betti": spectral.betti(X, k)})),
+    "missing": _Command("minimal non-faces and their maximal dimension", (EXPR_ARG, FORMAT_ARG),
+                        _cmd_missing),
+    "bound": _Command("degree lower bound report per dimension", EXPR_K_FORMAT,
+                      _per_k(lambda X, k: bounds_mod.spectral_gap_bound(X, k))),
+    "verify-z": _Command(
+        "verify the tight family against its closed forms",
+        (("d", {"type": int}), ("t", {"type": int}), ("r", {"type": int}), FORMAT_ARG),
+        _cmd_verify_z,
+    ),
+    "equality": _Command("test the d=1 gap equality and certify the witness", EXPR_K_FORMAT,
+                         _cmd_equality),
+    "probe": _Command(
+        "search for gap equality cases at d >= 2",
+        (
+            ("--d", {"type": int, "required": True}),
+            ("--n", {"type": int, "required": True}),
+            ("--mode", {"choices": ("exhaustive", "random"), "default": "exhaustive"}),
+            ("--budget", {"type": int, "default": None}),
+            ("--seed", {"type": int, "default": None}),
+            FORMAT_ARG,
+        ),
+        _cmd_probe,
+    ),
+    "dump-matrix": _Command(
+        "write an operator matrix as text triples",
+        (
+            EXPR_ARG,
+            K_ARG,
+            ("--operator", {"choices": ("laplacian", "coboundary"), "default": "laplacian"}),
+            ("--out", {"metavar": "PATH", "default": None}),
+        ),
+        _cmd_dump_matrix,
+    ),
+}
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -324,77 +324,18 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="Spectral gaps, Betti numbers, and degree bounds of simplicial complexes.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, expr=True, k=True, fmt=True):
-        if expr:
-            p.add_argument("expr", help="constructor expression, e.g. 'Z(2,2,1)' or 'file(x.txt)'")
-        if k:
-            p.add_argument("--k", default="all", help="dimension, integer or 'all'")
-        if fmt:
-            p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = sub.add_parser("build", help="construct a complex and print its summary")
-    common(p, k=False)
-
-    p = sub.add_parser("spectrum", help="per-dimension gaps, Betti numbers and spectra")
-    common(p)
-
-    p = sub.add_parser("gap", help="smallest Laplacian eigenvalue per dimension")
-    common(p)
-
-    p = sub.add_parser("betti", help="reduced Betti numbers (dual-route verified)")
-    common(p)
-
-    p = sub.add_parser("missing", help="minimal non-faces and their maximal dimension")
-    common(p, k=False)
-
-    p = sub.add_parser("bound", help="degree lower bound report per dimension")
-    common(p)
-
-    p = sub.add_parser("verify-z", help="verify the tight family against its closed forms")
-    p.add_argument("d", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    common(p, expr=False, k=False)
-
-    p = sub.add_parser("equality", help="test the d=1 gap equality and certify the witness")
-    common(p)
-
-    p = sub.add_parser("probe", help="search for gap equality cases at d >= 2")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p, expr=False, k=False)
-
-    p = sub.add_parser("dump-matrix", help="write an operator matrix as text triples")
-    common(p, fmt=False)
-    p.add_argument("--operator", choices=("laplacian", "coboundary"), default="laplacian")
-    p.add_argument("--out", metavar="PATH", default=None)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.arguments:
+            p.add_argument(flag, **keywords)
     return top
-
-
-_HANDLERS = {
-    "build": _cmd_build,
-    "spectrum": _cmd_spectrum,
-    "gap": _cmd_gap,
-    "betti": _cmd_betti,
-    "missing": _cmd_missing,
-    "bound": _cmd_bound,
-    "verify-z": _cmd_verify_z,
-    "equality": _cmd_equality,
-    "probe": _cmd_probe,
-    "dump-matrix": _cmd_dump_matrix,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_argparser()
     args = parser.parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command].run(args, sys.stdout)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -271,7 +271,8 @@ def _vertex_face_profile(X: SimplicialComplex) -> dict[int, tuple[int, ...]]:
 
 
 def isomorphic(X: SimplicialComplex, Y: SimplicialComplex) -> dict[int, int] | None:
-    """Vertex bijection carrying X's faces onto Y's faces, or None.
+    """Vertex bijection carrying X's faces onto Y's faces, in X's vertex
+    order, or None.
 
     Backtracking over support vertices, ordered most-constrained first and
     pruned by per-vertex face-count profiles.
@@ -328,7 +329,7 @@ def isomorphic(X: SimplicialComplex, Y: SimplicialComplex) -> dict[int, int] | N
             used.discard(v)
         return False
 
-    return dict(mapping) if extend(0) else None
+    return dict(sorted(mapping.items())) if extend(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,7 @@ class ProbeReport:
     n: int
     mode: str
     budget: int | None
-    seed: int
+    seed: int | None  # None in exhaustive mode
     examined: int
     complete: bool
     hits: tuple[ProbeHit, ...]
@@ -490,10 +491,14 @@ def _vertices(mask: int) -> Simplex:
     return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 
 
-def _selection(fixed: list[Simplex], low: list[int], T: np.ndarray, i: int) -> list[Simplex]:
-    """The missing faces of complex i of a batch: ``fixed``, and the sets in
-    ``low`` that the bits of T[i] pick."""
-    return fixed + [_vertices(q) for j, q in enumerate(low) if (int(T[i]) >> j) & 1]
+def _selection(nonedges: list[Simplex], chosen: list[int], low: list[int], T: np.ndarray,
+               i: int) -> list[Simplex]:
+    """The missing faces of complex i of a batch: ``nonedges``, the vertex
+    sets of the bitmasks ``chosen``, and those in ``low`` that the bits of
+    T[i] pick.  Called only for a complex the probe confirms or reports, so
+    the screen handles bitmasks alone."""
+    picked = [q for j, q in enumerate(low) if (int(T[i]) >> j) & 1]
+    return nonedges + [_vertices(m) for m in chosen + picked]
 
 
 def _incidence(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -655,13 +660,12 @@ def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -
             for hi in range(1 << len(high)):
                 extra = chosen + [q for i, q in enumerate(high) if (hi >> i) & 1]
                 base = ~screen.inside(extra).any(axis=1)
-                fixed = nonedges + [_vertices(m) for m in extra]
                 t, top = (0 if hi else 1), 1 << len(low)
                 while t < top:
                     count = min(D2_SCREEN_CHUNK, top - t)
                     T = np.arange(count, dtype=np.uint64) + np.uint64(t)
                     live = base & ((T[:, None] & bits) == 0)
-                    yield count, screen, live, partial(_selection, fixed, low, T)
+                    yield count, screen, live, partial(_selection, nonedges, extra, low, T)
                     t += count
 
 
@@ -693,9 +697,9 @@ def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple]:
             chosen.extend(layer)
         else:
             screen = _Screen(n, d, cliques)
-            faces = sorted(set(pairs).difference(edges)) + [_vertices(m) for m in chosen]
+            nonedges = sorted(set(pairs).difference(edges))
             yield 1, screen, ~screen.inside(chosen).any(axis=1)[None, :], partial(
-                _selection, faces, [], [0])
+                _selection, nonedges, chosen, [], [0])
 
 
 def _probe(
@@ -725,7 +729,7 @@ def probe_equality_cases(
     n: int,
     mode: str = "exhaustive",
     budget: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> ProbeReport:
     """Search complexes with maximal missing-face dimension d for gap equalities.
 
@@ -738,8 +742,11 @@ def probe_equality_cases(
     selection of missing faces above it; without a ``budget`` it refuses,
     before enumerating, when K_n alone offers more than
     2**PROBE_SELECTION_BITS selections.  Random mode samples ``budget``
-    complexes deterministically from ``seed``.
+    complexes deterministically from ``seed`` (0 when None); a seed in
+    exhaustive mode, which would ignore it, is refused.
     """
+    if seed is not None and mode != "random":
+        raise InputError("--seed applies to --mode random only")
     if d < 2:
         raise InputError("probe needs d >= 2; the d=1 case is equality_case_check")
     if n < d + 1:
@@ -756,6 +763,7 @@ def probe_equality_cases(
             )
         batches, cap = _layered_walk(n, d, _graph_classes(n)), budget
     elif mode == "random":
+        seed = 0 if seed is None else seed
         batches, cap = _sampled(n, d, budget if budget is not None else 1000, seed), None
     else:
         raise InputError(f"unknown probe mode {mode!r}")

@@ -208,13 +208,13 @@ def test_criterion_7_equality_characterization():
 def test_criterion_8_probe():
     expected_hits = {3: 1, 4: 4, 5: 10, 6: 30}
     for n in range(3, 7):
-        report = lg.probe_equality_cases(2, n, mode="exhaustive", seed=0)
+        report = lg.probe_equality_cases(2, n, mode="exhaustive")
         assert report.complete
         assert not report.counterexamples, report.counterexamples
         assert len(report.hits) == expected_hits[n]
         assert all(h.isomorphic_to_canonical for h in report.hits)
-    # deterministic under a fixed seed: identical reruns, both modes
-    assert lg.probe_equality_cases(2, 5, seed=1) == lg.probe_equality_cases(2, 5, seed=1)
+    # deterministic: identical reruns, both modes, random mode under a fixed seed
+    assert lg.probe_equality_cases(2, 5) == lg.probe_equality_cases(2, 5)
     a = lg.probe_equality_cases(2, 6, mode="random", budget=150, seed=5)
     b = lg.probe_equality_cases(2, 6, mode="random", budget=150, seed=5)
     assert a == b

@@ -626,6 +626,24 @@ def test_help_is_pinned(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_every_subcommand_is_pinned():
+    """Each row of cli._COMMANDS has a stdout pin in every format its
+    --format accepts (one pin when it has no --format) and a --help pin."""
+    def formats(name):
+        return dict(cli._COMMANDS[name].arguments).get("--format", {}).get("choices", (None,))
+
+    def pin_format(argv):
+        if formats(argv[0]) == (None,):
+            return None
+        return argv[argv.index("--format") + 1] if "--format" in argv else "json"
+
+    pinned = {(pin.values[0][0], pin_format(pin.values[0])) for pin in STDOUT_PINS}
+    wanted = {(name, fmt) for name in cli._COMMANDS for fmt in formats(name)}
+    assert wanted - pinned == set()
+    helped = {pin.values[0] for pin in HELP_PINS}
+    assert {(name,) for name in cli._COMMANDS} | {()} <= helped
+
+
 # one small argv per subcommand for the option-read test
 SAMPLE_ARGV = {
     "build": ("simplex(1)",),
@@ -659,11 +677,11 @@ def test_every_option_is_read_by_its_handler(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     parser = cli._build_argparser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(subparsers.choices) == set(SAMPLE_ARGV) == set(cli._HANDLERS)
+    assert set(subparsers.choices) == set(SAMPLE_ARGV) == set(cli._COMMANDS)
     unread = []
     for name, sub in subparsers.choices.items():
         args = _Reads(**vars(parser.parse_args([name, *SAMPLE_ARGV[name]])))
-        assert cli._HANDLERS[name](args, io.StringIO()) == 0
+        assert cli._COMMANDS[name].run(args, io.StringIO()) == 0
         unread += [f"{name} {'/'.join(a.option_strings) or a.dest}" for a in sub._actions
                    if not isinstance(a, argparse._HelpAction) and a.dest not in args._read]
     assert unread == []

@@ -188,6 +188,17 @@ def test_equality_check_shuffled_labels():
     assert verdict.holds and verdict.witness is not None
 
 
+def test_equality_witness_is_in_vertex_order():
+    # the search maps vertex 4 of canonical (5, 2) first; the witness lists it last
+    rng = random.Random(23)
+    perm = list(range(6))
+    rng.shuffle(perm)
+    for X, k in [(lg.canonical_equality_complex(5, 2), 2),
+                 (lg.relabel(lg.canonical_equality_complex(6, 3), perm), 3)]:
+        witness = lg.equality_case_check(X, k).witness
+        assert list(witness) == list(range(X.n))
+
+
 @pytest.mark.parametrize("cap,raises", [(2**6 - 1, False), (2**6 - 2, True)])
 def test_cliques_are_capped_as_they_are_built(monkeypatch, cap, raises):
     # K_6 has 2**6 - 1 nonempty cliques
@@ -768,3 +779,14 @@ def test_probe_random_mode_deterministic():
     assert a.examined == 200 and a.complete
     c = lg.probe_equality_cases(2, 6, mode="random", budget=200, seed=43)
     assert c.examined == 200
+
+
+def test_probe_seed_is_refused_outside_random_mode():
+    # exhaustive mode would ignore a seed, 0 included
+    for seed in (9, 0):
+        with pytest.raises(InputError, match=r"^--seed applies to --mode random only$"):
+            lg.probe_equality_cases(2, 5, seed=seed)
+    assert lg.probe_equality_cases(2, 5).seed is None
+    unseeded = lg.probe_equality_cases(2, 6, mode="random", budget=100)
+    assert unseeded == lg.probe_equality_cases(2, 6, mode="random", budget=100, seed=0)
+    assert unseeded.seed == 0

@@ -7,6 +7,11 @@ table.  Every report is printed by one rule, ``_plain``: a dataclass as its
 fields in declaration order, floats at 12 significant digits, tuples as
 lists and dict keys as strings; a line is JSON or ``key=value`` pairs.
 
+Only :mod:`~lapgap.complexes` and :mod:`~lapgap.errors` are imported with
+this module.  Each handler imports the modules it calls when it runs, so
+``build``, ``missing``, ``--help`` and every parse error finish without
+loading numpy; the others load it with the modules they use.
+
 Exit codes: 0 success, 1 failed internal assertion or integrity check,
 2 invalid input, 141 stdout closed by its reader (the status of a process
 killed by SIGPIPE).
@@ -22,9 +27,7 @@ import re
 import sys
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
-from . import bounds as bounds_mod
 from . import complexes as cx
-from . import extremal, hodge, operators, spectral
 from .errors import InputError, IntegrityError
 
 
@@ -44,7 +47,7 @@ INT, EXPR, PATH = "an integer", "an expression", "a path"
 _GRAMMAR = {
     "skeleton": ((INT, INT), lambda m, k: cx.skeleton(m, k)),
     "simplex": ((INT,), lambda m: cx.full_simplex(m)),
-    "Z": ((INT, INT, INT), lambda d, t, r: extremal.build_z(d, t, r)),
+    "Z": ((INT, INT, INT), lambda d, t, r: cx.build_z(d, t, r)),
     "join": ((EXPR, EXPR), lambda X, Y: cx.join(X, Y)),
     "clique": ((PATH,), lambda path: cx.load_edge_file(path)),
     "file": ((PATH,), lambda path: cx.load_facet_file(path)),
@@ -171,7 +174,8 @@ def _one_k(X: cx.SimplicialComplex, kflag: str, what: str) -> int:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the parsed arguments and stdout, prints,
-# and returns the exit code; library functions are looked up when called
+# and returns the exit code; each imports the modules it calls, and looks
+# their functions up when called
 
 
 def _per_k(row):
@@ -186,6 +190,24 @@ def _per_k(row):
     return handler
 
 
+def _gap_row(X: cx.SimplicialComplex, k: int) -> dict:
+    from . import spectral
+
+    return {"k": k, "gap": spectral.spectral_gap(X, k)}
+
+
+def _betti_row(X: cx.SimplicialComplex, k: int) -> dict:
+    from . import spectral
+
+    return {"k": k, "betti": spectral.betti(X, k)}
+
+
+def _bound_row(X: cx.SimplicialComplex, k: int):
+    from . import bounds
+
+    return bounds.spectral_gap_bound(X, k)
+
+
 def _cmd_build(args, out) -> int:
     X = parse_constructor(args.expr)
     _emit({"n": X.n, "dim": X.dim, "f_vector": X.f_vector(), "facets": cx.facets(X)},
@@ -194,6 +216,8 @@ def _cmd_build(args, out) -> int:
 
 
 def _cmd_spectrum(args, out) -> int:
+    from . import hodge, spectral
+
     X = parse_constructor(args.expr)
     rows = [{"k": k, "gap": spectral.spectral_gap(X, k), "betti": spectral.betti(X, k),
              "spectrum": hodge.spectrum(X, k).values} for k in _k_list(X, args.k)]
@@ -203,7 +227,7 @@ def _cmd_spectrum(args, out) -> int:
 
 def _cmd_missing(args, out) -> int:
     X = parse_constructor(args.expr)
-    report = hodge.missing_faces(X)
+    report = cx.missing_faces(X)
     _emit({"n": X.n, "h": report.h, "missing": report.missing}, args.format, out)
     return 0
 
@@ -214,6 +238,8 @@ _Z_ROW_FIELDS = ("k", "mu_predicted", "mu_eigen", "mu_join", "delta_predicted", 
 
 
 def _cmd_verify_z(args, out) -> int:
+    from . import extremal
+
     report = extremal.verify_z_family(args.d, args.t, args.r)
     rows = [{name: getattr(row, name) for name in _Z_ROW_FIELDS} for row in report.rows]
     _emit({"d": report.d, "t": report.t, "r": report.r, "ok": report.ok, "rows": rows},
@@ -222,12 +248,16 @@ def _cmd_verify_z(args, out) -> int:
 
 
 def _cmd_equality(args, out) -> int:
+    from . import extremal
+
     X = parse_constructor(args.expr)
     _emit(extremal.equality_case_check(X, _one_k(X, args.k, "equality check")), args.format, out)
     return 0
 
 
 def _cmd_probe(args, out) -> int:
+    from . import extremal
+
     report = extremal.probe_equality_cases(args.d, args.n, args.mode, args.budget, args.seed)
     for hit in report.hits:
         _emit(hit, args.format, out)
@@ -237,6 +267,8 @@ def _cmd_probe(args, out) -> int:
 
 
 def _cmd_dump_matrix(args, out) -> int:
+    from . import operators
+
     X = parse_constructor(args.expr)
     k = _one_k(X, args.k, "dump-matrix")
     if args.operator == "laplacian":
@@ -279,13 +311,13 @@ _COMMANDS = {
     "spectrum": _Command("per-dimension gaps, Betti numbers and spectra", EXPR_K_FORMAT,
                          _cmd_spectrum),
     "gap": _Command("smallest Laplacian eigenvalue per dimension", EXPR_K_FORMAT,
-                    _per_k(lambda X, k: {"k": k, "gap": spectral.spectral_gap(X, k)})),
+                    _per_k(_gap_row)),
     "betti": _Command("reduced Betti numbers (dual-route verified)", EXPR_K_FORMAT,
-                      _per_k(lambda X, k: {"k": k, "betti": spectral.betti(X, k)})),
+                      _per_k(_betti_row)),
     "missing": _Command("minimal non-faces and their maximal dimension", (EXPR_ARG, FORMAT_ARG),
                         _cmd_missing),
     "bound": _Command("degree lower bound report per dimension", EXPR_K_FORMAT,
-                      _per_k(lambda X, k: bounds_mod.spectral_gap_bound(X, k))),
+                      _per_k(_bound_row)),
     "verify-z": _Command(
         "verify the tight family against its closed forms",
         (("d", {"type": int}), ("t", {"type": int}), ("r", {"type": int}), FORMAT_ARG),

@@ -13,8 +13,6 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import DomainError, InputError, SizeLimitError
 
 Simplex = tuple[int, ...]
@@ -67,17 +65,22 @@ class SimplicialComplex:
     against ``n`` and the family is checked downward closed, dimension by
     dimension: the position in ``faces(k-1)`` of each facet of each k-face is
     looked up, and a facet that is missing raises :class:`InputError`.  The
-    positions found are the facet tables, kept in ``_tables`` (read-only
-    intp arrays, ``_tables[k + 1]`` of shape ``(|X(k)|, k+1)`` for
-    -1 <= k <= dim + 1), which :func:`lapgap.hodge.facet_index` returns.
+    positions found are the facet tables, kept in ``_tables``:
+    ``_tables[k + 1]`` for -1 <= k <= dim + 1 is the flat list of them, face
+    by face, each face's facets in the order of ``combinations(f, k)``, which
+    drops the last vertex first.  :func:`lapgap.hodge.facet_index` turns a
+    list into its read-only intp array of shape ``(|X(k)|, k+1)`` on first
+    use and stores the array back in its place, so a complex that is never
+    taken to numbers never builds one.
 
     ``_hodge`` holds the complex's Hodge context, one dict created on first
     use and freed with the complex.  Each memoized
     function of :mod:`lapgap.hodge` (missing faces, degree vectors,
     Laplacians, spectra, rank pivots) keeps its value there under
-    ``(name, *k)``, computed once.  Two threads that fill the same entry at
-    once both compute it and one result wins; the results are equal, so the
-    race is benign.  Neither takes part in equality or hashing.
+    ``(name, *k)``, computed once.  Two threads that fill the same entry (or
+    the same facet table) at once both compute it and one result wins; the
+    results are equal, so the race is benign.  Neither takes part in
+    equality or hashing.
     """
 
     __slots__ = ("n", "_by_dim", "_faces", "_dim", "_tables", "_hodge")
@@ -111,9 +114,8 @@ class SimplicialComplex:
                 raise InputError(f"negative vertex id in {list(faces[k][0])}")
         # downward closure, one dimension at a time: by induction it suffices
         # that every facet of a k-face is a (k-1)-face, and the position of
-        # that facet is the entry of the facet table; combinations(f, k)
-        # drops the last vertex first, so the columns come out reversed
-        tables = [np.zeros((1, 0), dtype=np.intp)]
+        # that facet is the entry of the facet table
+        tables: list = [[]]
         for k in range(dim + 1):
             below = faces[k - 1]
             position = dict(zip(below, range(len(below))))
@@ -126,16 +128,13 @@ class SimplicialComplex:
                 raise InputError(
                     f"not downward closed: {f} present, {f[:j] + f[j + 1:]} missing"
                 ) from None
-            table = np.array(flat, dtype=np.intp).reshape(len(faces[k]), k + 1)
-            tables.append(table[:, ::-1])
-        tables.append(np.zeros((0, dim + 2), dtype=np.intp))
-        for t in tables:
-            t.flags.writeable = False
+            tables.append(flat)
+        tables.append([])
         self.n = n
         self._dim = dim
         self._by_dim = faces
         self._faces = frozenset(chain.from_iterable(faces.values()))
-        self._tables = tuple(tables)
+        self._tables = tables
         self._hodge = None
 
     @property
@@ -261,6 +260,58 @@ def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
         for j, ts in y_faces.items():
             faces.setdefault(i + j + 1, []).extend(s + t for s in X.faces(i) for t in ts)
     return SimplicialComplex._canonical(X.n + Y.n, faces)
+
+
+@dataclass(frozen=True)
+class ZParams:
+    """Parameters of the tight family; n = (d+1)t + r, dim = dt + r - 1."""
+
+    d: int
+    t: int
+    r: int
+
+    def __post_init__(self) -> None:
+        if self.d < 1 or self.t < 1 or self.r < 1:
+            raise InputError(
+                f"unsupported parameters d={self.d}, t={self.t}, r={self.r}; all must be >= 1"
+            )
+
+    @property
+    def n(self) -> int:
+        return (self.d + 1) * self.t + self.r
+
+    @property
+    def dim(self) -> int:
+        return self.d * self.t + self.r - 1
+
+    @property
+    def total_faces(self) -> int:
+        return (2 ** (self.d + 1) - 1) ** self.t * 2**self.r
+
+
+def _skeleton_power_join(d: int, m: int, r: int) -> SimplicialComplex:
+    """(codim-1 skeleton of a d-simplex)^join m, joined with a full (r-1)-simplex.
+
+    Either factor count may be zero, but not both.
+    """
+    if m < 0 or r < 0 or (m == 0 and r == 0):
+        raise InputError(f"invalid join shape m={m}, r={r}")
+    parts: list[SimplicialComplex] = [skeleton(d, d - 1) for _ in range(m)]
+    if r >= 1:
+        parts.append(full_simplex(r - 1))
+    out = parts[0]
+    for p in parts[1:]:
+        out = join(out, p)
+    return out
+
+
+def build_z(d: int, t: int, r: int) -> SimplicialComplex:
+    """The tight-family complex Z(d,t,r): t copies of the codim-1 skeleton of
+    a d-simplex joined with a full (r-1)-simplex; every missing face has
+    dimension exactly d."""
+    params = ZParams(d, t, r)
+    check_face_count(params.dim, lambda: params.total_faces, f"Z({d},{t},{r})")
+    return _skeleton_power_join(params.d, params.t, params.r)
 
 
 def link(X: SimplicialComplex, sigma: Sequence[int]) -> SimplicialComplex:
@@ -416,13 +467,13 @@ def from_missing_faces(n: int, missing: Iterable[Sequence[int]]) -> SimplicialCo
 
 
 def facets(X: SimplicialComplex) -> tuple[Simplex, ...]:
-    """Maximal faces, ordered by (dimension, lexicographic)."""
-    from .hodge import degrees  # hodge builds on this module
-
-    out = tuple(
-        f for k in range(X.dim + 1) for f, deg in zip(X.faces(k), degrees(X, k)) if deg == 0
-    )
-    return out or ((),)
+    """Maximal faces, ordered by (dimension, lexicographic): the k-faces that
+    are no facet of a (k+1)-face."""
+    out = []
+    for k in range(X.dim + 1):
+        covered = set(chain.from_iterable(map(combinations, X.faces(k + 1), repeat(k + 1))))
+        out.extend(f for f in X.faces(k) if f not in covered)
+    return tuple(out) or ((),)
 
 
 def relabel(X: SimplicialComplex, perm: Sequence[int]) -> SimplicialComplex:

@@ -1,6 +1,7 @@
 """Tight families for the spectral gap bound, equality checks, and probes.
 
-``build_z(d, t, r)`` constructs the join of t copies of the codimension-one
+``build_z(d, t, r)`` (a constructor of :mod:`lapgap.complexes`, re-exported
+here with ``ZParams``) constructs the join of t copies of the codimension-one
 skeleton of a d-simplex with a full (r-1)-simplex; its gaps and minimal
 degrees have closed forms that make the degree bound an equality at every
 dimension.  ``equality_case_check`` tests the d = 1 uniqueness statement,
@@ -26,13 +27,13 @@ from .complexes import (
     MAX_FACES,
     Simplex,
     SimplicialComplex,
+    ZParams,
+    _skeleton_power_join,
+    build_z,
     check_face_count,
     facets,
     from_missing_faces,
-    full_simplex,
-    join,
     min_degree,
-    skeleton,
 )
 from .errors import InputError, IntegrityError, SizeLimitError
 from .spectral import join_spectrum, skeleton_spectrum, spectral_gap
@@ -43,56 +44,6 @@ PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selec
 D2_SCREEN_CHUNK = 2048  # complexes per screen batch; hits come batch by batch, then by k
 _T_BITS = 63  # top-layer cliques a uint64 batch value T picks from
 Z_FACE_CAP = 5000  # verify_z_family refuses a Z(d,t,r) with more faces
-
-
-@dataclass(frozen=True)
-class ZParams:
-    """Parameters of the tight family; n = (d+1)t + r, dim = dt + r - 1."""
-
-    d: int
-    t: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.t < 1 or self.r < 1:
-            raise InputError(
-                f"unsupported parameters d={self.d}, t={self.t}, r={self.r}; all must be >= 1"
-            )
-
-    @property
-    def n(self) -> int:
-        return (self.d + 1) * self.t + self.r
-
-    @property
-    def dim(self) -> int:
-        return self.d * self.t + self.r - 1
-
-    @property
-    def total_faces(self) -> int:
-        return (2 ** (self.d + 1) - 1) ** self.t * 2**self.r
-
-
-def _skeleton_power_join(d: int, m: int, r: int) -> SimplicialComplex:
-    """(codim-1 skeleton of a d-simplex)^join m, joined with a full (r-1)-simplex.
-
-    Either factor count may be zero, but not both.
-    """
-    if m < 0 or r < 0 or (m == 0 and r == 0):
-        raise InputError(f"invalid join shape m={m}, r={r}")
-    parts: list[SimplicialComplex] = [skeleton(d, d - 1) for _ in range(m)]
-    if r >= 1:
-        parts.append(full_simplex(r - 1))
-    out = parts[0]
-    for p in parts[1:]:
-        out = join(out, p)
-    return out
-
-
-def build_z(d: int, t: int, r: int) -> SimplicialComplex:
-    """The tight-family complex; every missing face has dimension exactly d."""
-    params = ZParams(d, t, r)
-    check_face_count(params.dim, lambda: params.total_faces, f"Z({d},{t},{r})")
-    return _skeleton_power_join(params.d, params.t, params.r)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,16 @@ in the complex's ``_hodge`` dict under the key ``(fill.__name__, *k)`` and
 makes a cached array read-only.  The context dies with the complex; no
 cache exists at module level.  No fill returns None, so a missing or None
 entry means "not filled yet".  The facet tables are not filled here: the
-closure check of :class:`~lapgap.complexes.SimplicialComplex` builds them,
-and :func:`facet_index` returns them.
+closure check of :class:`~lapgap.complexes.SimplicialComplex` finds them
+as lists of positions, and :func:`facet_index` turns each into its array
+on first use and stores that back in the complex.
 
 The fills call ``complexes.missing_faces``, ``operators.laplacian``,
 ``spectral.eigenvalues`` and ``spectral.rank_mod_p`` through their
 modules, so a wrapper installed on those module attributes sees every
-search, assembly, eigensolve and rank.  ``operators.laplacian`` and
+search, assembly, eigensolve and rank.  ``operators`` and ``spectral``
+import this module, so the fills import them where they call them, and
+any of the three can be imported first.  ``operators.laplacian`` and
 ``operators.coboundary_matrix`` fill their matrices from
 :func:`facet_index`.  The ranks never build a dense coboundary: each
 reduces the signed rows of a facet table, and clearing leaves out the rows
@@ -24,12 +27,16 @@ about its fill-in.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import complexes, operators, spectral
+from . import complexes
 from .complexes import MissingFaceReport, SimplicialComplex
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from . import operators, spectral
 
 
 def _memo(fill):
@@ -46,7 +53,7 @@ def _memo(fill):
         value = ctx.get(key)
         if value is None:
             value = fill(X, *k)
-            arr = value.mat if isinstance(value, operators.OperatorMatrix) else value
+            arr = getattr(value, "mat", value)
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
             ctx[key] = value
@@ -67,11 +74,18 @@ def facet_index(X: SimplicialComplex, k: int) -> np.ndarray:
 
     This is the sparse form of the coboundary ``delta_{k-1}``: row i has
     the entry (-1)**j in column [i, j] and zeros elsewhere.  The closure
-    check built it with the complex; the array is read-only.
+    check found the positions with the complex, as one flat list whose rows
+    run from the last vertex dropped to the first; the first call turns it
+    into this read-only array and keeps that in its place.
     """
     if not -1 <= k <= X.dim + 1:
         raise InputError(f"k={k} outside -1..{X.dim + 1}")
-    return X._tables[k + 1]
+    table = X._tables[k + 1]
+    if isinstance(table, list):
+        table = np.array(table, dtype=np.intp).reshape(len(X.faces(k)), k + 1)[:, ::-1]
+        table.flags.writeable = False
+        X._tables[k + 1] = table
+    return table
 
 
 @_memo
@@ -94,6 +108,8 @@ def facet_degree_sums(X: SimplicialComplex, k: int) -> np.ndarray:
 @_memo
 def laplacian(X: SimplicialComplex, k: int) -> operators.OperatorMatrix:
     """The reduced k-Laplacian, assembled once per complex."""
+    from . import operators
+
     return operators.laplacian(X, k)
 
 
@@ -101,6 +117,8 @@ def laplacian(X: SimplicialComplex, k: int) -> operators.OperatorMatrix:
 def spectrum(X: SimplicialComplex, k: int) -> spectral.Spectrum:
     """Spectrum of L_k, solved once per complex.  At k = -1 it is the
     vertex count, exactly, without the eigensolver."""
+    from . import spectral
+
     if k == -1:
         return spectral.Spectrum((float(X.num_vertices),))
     return spectral.eigenvalues(laplacian(X, k))
@@ -120,6 +138,8 @@ def coboundary_pivots(X: SimplicialComplex, k: int) -> frozenset[int]:
     is left out.  Hence the reductions run from the top dimension down,
     and only these sets are kept.
     """
+    from . import spectral
+
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
     table = facet_index(X, k + 1)

@@ -568,6 +568,13 @@ def test_facets():
     assert lg.facets(lg.induced(X, ())) == ((),)
 
 
+def test_facets_are_the_faces_of_degree_zero(small_corpus):
+    for X in [*constructor_outputs(), *small_corpus]:
+        by_degree = tuple(f for k in range(X.dim + 1)
+                          for f, deg in zip(X.faces(k), hodge.degrees(X, k)) if deg == 0)
+        assert lg.facets(X) == (by_degree or ((),))
+
+
 # --- relabel / compactify -------------------------------------------------------
 
 

@@ -124,3 +124,17 @@ def test_context_dies_with_its_complex(small_corpus):
             for get in gets:
                 arr = get(X, k)
                 assert arr is get(X, k) and not arr.flags.writeable
+
+
+def test_facet_tables_become_arrays_on_first_use(small_corpus):
+    for X in small_corpus:
+        X = fresh(X)
+        for k in range(-1, X.dim + 2):
+            assert type(X._tables[k + 1]) is list  # the closure check's positions
+            table = hodge.facet_index(X, k)
+            position = {f: i for i, f in enumerate(X.faces(k - 1))}
+            rebuilt = [[position[f[:j] + f[j + 1 :]] for j in range(k + 1)] for f in X.faces(k)]
+            assert table.dtype == np.intp and table.shape == (len(X.faces(k)), k + 1)
+            assert table.tolist() == rebuilt and not table.flags.writeable
+            assert hodge.facet_index(X, k) is table and X._tables[k + 1] is table
+

@@ -95,9 +95,10 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is not None:
-        return getattr(import_module(f"{__name__}.{module}"), name)
+    home = _HOME.get(name)
+    if home is not None:
+        # a submodule is a package attribute once it has loaded
+        return getattr(globals().get(home) or import_module(f"{__name__}.{home}"), name)
     if name in _EXPORTS:
         return import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,9 +14,9 @@ on first use and stores that back in the complex.
 The fills call ``complexes.missing_faces``, ``operators.laplacian``,
 ``spectral.eigenvalues`` and ``spectral.rank_mod_p`` through their
 modules, so a wrapper installed on those module attributes sees every
-search, assembly, eigensolve and rank.  ``operators`` and ``spectral``
-import this module, so the fills import them where they call them, and
-any of the three can be imported first.  ``operators.laplacian`` and
+search, assembly, eigensolve and rank.  ``operators`` imports this
+module only after its own definitions, so this module, ``operators`` and
+``spectral`` import cold in any order.  ``operators.laplacian`` and
 ``operators.coboundary_matrix`` fill their matrices from
 :func:`facet_index`.  The ranks never build a dense coboundary: each
 reduces the signed rows of a facet table, and clearing leaves out the rows
@@ -27,16 +27,12 @@ about its fill-in.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import complexes
+from . import complexes, operators, spectral
 from .complexes import MissingFaceReport, SimplicialComplex
 from .errors import InputError
-
-if TYPE_CHECKING:
-    from . import operators, spectral
 
 
 def _memo(fill):
@@ -53,7 +49,7 @@ def _memo(fill):
         value = ctx.get(key)
         if value is None:
             value = fill(X, *k)
-            arr = getattr(value, "mat", value)
+            arr = value.mat if isinstance(value, operators.OperatorMatrix) else value
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
             ctx[key] = value
@@ -108,8 +104,6 @@ def facet_degree_sums(X: SimplicialComplex, k: int) -> np.ndarray:
 @_memo
 def laplacian(X: SimplicialComplex, k: int) -> operators.OperatorMatrix:
     """The reduced k-Laplacian, assembled once per complex."""
-    from . import operators
-
     return operators.laplacian(X, k)
 
 
@@ -117,8 +111,6 @@ def laplacian(X: SimplicialComplex, k: int) -> operators.OperatorMatrix:
 def spectrum(X: SimplicialComplex, k: int) -> spectral.Spectrum:
     """Spectrum of L_k, solved once per complex.  At k = -1 it is the
     vertex count, exactly, without the eigensolver."""
-    from . import spectral
-
     if k == -1:
         return spectral.Spectrum((float(X.num_vertices),))
     return spectral.eigenvalues(laplacian(X, k))
@@ -138,8 +130,6 @@ def coboundary_pivots(X: SimplicialComplex, k: int) -> frozenset[int]:
     is left out.  Hence the reductions run from the top dimension down,
     and only these sets are kept.
     """
-    from . import spectral
-
     if not -1 <= k <= X.dim:
         raise InputError(f"k={k} outside -1..{X.dim}")
     table = facet_index(X, k + 1)

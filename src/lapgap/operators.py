@@ -25,7 +25,6 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from . import hodge
 from .complexes import Simplex, SimplicialComplex, degree, simplex
 from .errors import InputError, IntegrityError, SizeLimitError
 
@@ -268,3 +267,8 @@ def offdiag_abs_row_sum(
     direct = int(np.abs(L.mat[i]).sum() - abs(L.mat[i, i]))
     from_degrees = int(hodge.facet_degree_sums(X, k)[i] - (k + 1) * (hodge.degrees(X, k)[i] + 1))
     return direct, from_degrees
+
+
+# last: hodge imports this module and spectral, and spectral imports names
+# from this module, so they must all be defined before hodge loads
+from . import hodge  # noqa: E402

@@ -137,4 +137,3 @@ def test_facet_tables_become_arrays_on_first_use(small_corpus):
             assert table.dtype == np.intp and table.shape == (len(X.faces(k)), k + 1)
             assert table.tolist() == rebuilt and not table.flags.writeable
             assert hodge.facet_index(X, k) is table and X._tables[k + 1] is table
-

@@ -7,7 +7,10 @@ degrees have closed forms that make the degree bound an equality at every
 dimension.  ``equality_case_check`` tests the d = 1 uniqueness statement,
 and ``probe_equality_cases`` searches for equality cases at d >= 2, exhaustively
 or by sampling.  Every equality mu_k == target is decided in integers: a
-degree or Gershgorin row bound, then ``spectral.balanced_kernel``.
+degree or Gershgorin row bound, then ``spectral.balanced_kernel``.  The
+exhaustive probe screens each distinct family of live k- and (k+1)-faces
+once, since L_k depends on nothing else, and lists the complexes of a
+family only when the screen keeps it.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .spectral import join_spectrum, skeleton_spectrum, spectral_gap
 ISO_VERTEX_CAP = 14
 GRAPH_CODE_CHUNK = 1 << 19  # entries of one candidates-by-permutations code block
 PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selections
-D2_SCREEN_CHUNK = 2048  # complexes per screen batch; hits come batch by batch, then by k
-_T_BITS = 63  # top-layer cliques a uint64 batch value T picks from
+D2_SCREEN_CHUNK = 2048  # a range lists its hits in blocks of this many selections, by k within one
+_T_BITS = 63  # top-layer cliques one selection range picks from; ``hi`` picks the rest
 Z_FACE_CAP = 5000  # verify_z_family refuses a Z(d,t,r) with more faces
 
 
@@ -226,7 +229,10 @@ def isomorphic(X: SimplicialComplex, Y: SimplicialComplex) -> dict[int, int] | N
     order, or None.
 
     Backtracking over support vertices, ordered most-constrained first and
-    pruned by per-vertex face-count profiles.
+    pruned by per-vertex face-count profiles.  The faces of X that the i-th
+    vertex completes must map onto faces of Y, as many as the image vertex
+    completes among the mapped ones; images and faces of Y are tested as
+    vertex bitmasks, and ``img`` holds the vertices of Y mapped so far.
     """
     vx, vy = X.vertices(), Y.vertices()
     if max(len(vx), len(vy)) > ISO_VERTEX_CAP:
@@ -240,47 +246,46 @@ def isomorphic(X: SimplicialComplex, Y: SimplicialComplex) -> dict[int, int] | N
     if sorted(prof_x.values()) != sorted(prof_y.values()):
         return None
 
-    faces_at_x = {v: [f for f in X.all_faces() if v in f] for v in vx}
-    faces_at_y = {v: [f for f in Y.all_faces() if v in f] for v in vy}
+    faces_y = {_mask(g) for g in Y.all_faces()}
+    faces_at_y = {v: [m for m in faces_y if (m >> v) & 1] for v in vy}
     candidates = {
         u: [v for v in vy if prof_y[v] == prof_x[u]] for u in vx
     }
     order = sorted(vx, key=lambda u: len(candidates[u]))
+    # the faces of X that order[i] completes: inside order[:i+1], holding order[i]
+    position = {u: i for i, u in enumerate(order)}
+    completed: list[list[Simplex]] = [[] for _ in order]
+    for f in X.all_faces():
+        if f:
+            completed[max(map(position.__getitem__, f))].append(f)
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    image: dict[int, int] = {}  # u -> 1 << (its image)
 
-    def consistent(u: int, v: int) -> bool:
-        dom = set(mapping) | {u}
-        img = set(used) | {v}
-        count_x = 0
-        trial = dict(mapping)
-        trial[u] = v
-        for f in faces_at_x[u]:
-            if not dom.issuperset(f):
-                continue
-            count_x += 1
-            if tuple(sorted(trial[w] for w in f)) not in Y:
-                return False
-        count_y = sum(1 for g in faces_at_y[v] if img.issuperset(g))
-        return count_x == count_y
+    def consistent(i: int, v: int, img: int) -> bool:
+        outside = ~img
+        return len(completed[i]) == sum(1 for g in faces_at_y[v] if not g & outside) and all(
+            sum(map(image.__getitem__, f)) in faces_y for f in completed[i])
 
-    def extend(i: int) -> bool:
+    def extend(i: int, img: int) -> bool:
         if i == len(order):
             return True
         u = order[i]
         for v in candidates[u]:
-            if v in used or not consistent(u, v):
+            if (img >> v) & 1:
                 continue
-            mapping[u] = v
-            used.add(v)
-            if extend(i + 1):
+            image[u] = 1 << v
+            if consistent(i, v, img | 1 << v) and extend(i + 1, img | 1 << v):
                 return True
-            del mapping[u]
-            used.discard(v)
+            del image[u]
         return False
 
-    return dict(sorted(mapping.items())) if extend(0) else None
+    if not extend(0, 0):
+        return None
+    return {u: image[u].bit_length() - 1 for u in sorted(image)}
+
+
+def _mask(face: Iterable[int]) -> int:
+    return sum(map((1).__lshift__, face))
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +397,20 @@ def _candidate_targets(n: int, d: int) -> list[tuple[int, int]]:
     return out
 
 
-def _verify_hit(X: SimplicialComplex, d: int, k: int, target: int) -> ProbeHit:
+def _verify_hit(X: SimplicialComplex, d: int, k: int, target: int,
+                canonical: dict[int, SimplicialComplex]) -> ProbeHit:
     """Decide a pair the screen kept again, on the freshly built complex's
     own L_k, an assembly independent of the screen's ``_incidence``; a
-    disagreement raises IntegrityError."""
+    disagreement raises IntegrityError.  ``canonical`` holds the canonical
+    complexes of this probe built so far, by k."""
     if k > X.dim or not _at_target(X, k, target):
         raise IntegrityError(
             f"the screen holds mu_{k} = {target} on the complex with facets {facets(X)}, "
             "but its Laplacian does not"
         )
-    iso = isomorphic(X, _canonical_for(X.num_vertices, k, d)) is not None
+    if k not in canonical:
+        canonical[k] = _canonical_for(X.num_vertices, k, d)
+    iso = isomorphic(X, canonical[k]) is not None
     return ProbeHit(n=X.num_vertices, d=d, k=k, mu=spectral_gap(X, k), target=target,
                     isomorphic_to_canonical=iso, facets=facets(X))
 
@@ -442,14 +451,11 @@ def _vertices(mask: int) -> Simplex:
     return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 
 
-def _selection(nonedges: list[Simplex], chosen: list[int], low: list[int], T: np.ndarray,
-               i: int) -> list[Simplex]:
-    """The missing faces of complex i of a batch: ``nonedges``, the vertex
-    sets of the bitmasks ``chosen``, and those in ``low`` that the bits of
-    T[i] pick.  Called only for a complex the probe confirms or reports, so
+def _missing(nonedges: list[Simplex], masks: list[int]) -> list[Simplex]:
+    """The missing faces ``nonedges`` and the vertex sets of the bitmasks
+    ``masks``.  Built only for a complex the probe confirms or reports, so
     the screen handles bitmasks alone."""
-    picked = [q for j, q in enumerate(low) if (int(T[i]) >> j) & 1]
-    return nonedges + [_vertices(m) for m in chosen + picked]
+    return nonedges + [_vertices(m) for m in masks]
 
 
 def _incidence(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -461,20 +467,44 @@ def _incidence(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.where((r & c) == c, np.where(j & 1, -1, 1), 0)
 
 
+def _closed_component(slack: np.ndarray, ends: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """(graphs,): whether each graph of a stack, with rows of ``slack``
+    (graphs, rows) joined where ``links`` (graphs, pairs) holds across the
+    pair ``ends[:, e]``, has a component whose rows all have slack 0.  On
+    the off-diagonal support of a symmetric, weakly diagonally dominant
+    integer matrix, every vector of ``spectral.balanced_kernel`` lives on
+    such a component (Taussky 1949; Zaslavsky, "Signed graphs", 1982), so a
+    matrix without one is nonsingular.  The rows reached from a row with
+    slack grow by one step of the links at a time until they stop."""
+    i, j = ends
+    to_i, to_j = np.eye(slack.shape[1], dtype=np.float32)[[i, j]]
+    reached = slack > 0
+    while True:
+        step = ((reached[:, j] & links).astype(np.float32) @ to_i
+                + (reached[:, i] & links).astype(np.float32) @ to_j)
+        grown = reached | (step > 0)
+        if np.array_equal(grown, reached):
+            return ~reached.all(axis=1)
+        reached = grown
+
+
 class _Screen:
-    """The exact integer screen of the probe over the complexes of one graph.
+    """The exact integer screen of the probe over the complexes of a graph.
 
     By the paper's bound, target <= degree row bound == Gershgorin <= mu_k
     for every complex whose missing faces have dimension <= d.  Columns are
     the graph's cliques of the cardinalities the targets read: k+1 (the
     k-faces) and k+2, so the tables grow with the complexes, not with
     C(n, k+1), at any n a random probe takes; targets with no k-face on the
-    graph are dropped.  A complex is a 0/1 row of live columns, its faces.
-    ``weights`` turns a row into the degree row values (k+2)*deg + 2(k+1) -
-    facet sum of every k-face, target by target, in one product: deg counts
-    the live (k+1)-faces above, and the facet sum counts, through
-    |delta_{k-1}| |delta_{k-1}|^T, the live k-faces that share a facet.
-    A pair at its row bound is then decided by ``singular``.
+    graph are dropped.  A random draw has a screen of its own; the
+    exhaustive probe builds one on K_n for all its graphs.  A complex is a
+    0/1 row of live columns, its faces; as a Python int, bit c for column c,
+    it is a family.  ``weights`` turns a row into
+    the degree row values (k+2)*deg + 2(k+1) - facet sum of every k-face,
+    target by target, in one product: deg counts the live (k+1)-faces
+    above, and the facet sum counts, through |delta_{k-1}| |delta_{k-1}|^T,
+    the live k-faces that share a facet.  A pair at its row bound is then
+    decided by ``_closed_component`` and ``singular``.
     """
 
     def __init__(self, n: int, d: int, cliques: dict[int, list[int]]) -> None:
@@ -486,6 +516,8 @@ class _Screen:
             self.cols[c] = slice(len(faces), len(faces) + len(cliques[c]))
             faces += cliques[c]
         self.faces = np.array(faces, dtype=np.int64)
+        self._covers: dict[int, int] = {}
+        self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if not self.targets:
             return
         self.cob = {
@@ -514,6 +546,23 @@ class _Screen:
         m = np.array(sets, dtype=np.int64)
         return (self.faces[:, None] & m) == m
 
+    def covers(self, sets: list[int]) -> int:
+        """The columns containing any of the vertex sets, as a family."""
+        out = 0
+        for s in sets:
+            if s not in self._covers:
+                self._covers[s] = sum(1 << c for c, f in enumerate(self.faces.tolist())
+                                      if f & s == s)
+            out |= self._covers[s]
+        return out
+
+    def unpack(self, families: list[int]) -> np.ndarray:
+        """(families, columns): the live columns of each family.  K_n on
+        n <= 8 vertices has at most 37 columns, so a family fits a uint64."""
+        bits = np.array(families, dtype=np.uint64)[:, None] >> np.arange(
+            len(self.faces), dtype=np.uint64)
+        return (bits & np.uint64(1)).astype(bool)
+
     def min_rows(self, live: np.ndarray) -> np.ndarray:
         """(complexes, targets): the least degree row value over the k-faces
         of each complex, which is ``bounds.gershgorin_from_degrees``; inf
@@ -521,6 +570,29 @@ class _Screen:
         rows = live.astype(np.float64) @ self.weights + self.offsets
         rows[~live[:, self.k_faces]] = np.inf
         return np.minimum.reduceat(rows, self.starts, axis=1)
+
+    def closed(self, live: np.ndarray, j: int) -> np.ndarray:
+        """(complexes,): ``_closed_component`` on L_k - target*I of each
+        complex of ``live`` at target j, every k-face column a row: its
+        slack is its degree row value minus the target (1 where the complex
+        lacks the k-face), and two k-faces sharing a facet are linked when
+        both are live and their union is not, as L_k's entry is then +-1."""
+        k, target = self.targets[j]
+        if k not in self._pairs:
+            down = np.abs(self.cob[k - 1])
+            ends = np.array(np.nonzero(np.triu(down @ down.T, 1)))
+            rows = self.faces[self.cols[k + 1]]
+            ups = {f: c for c, f in enumerate(self.faces[self.cols[k + 2]].tolist())}
+            # a union that is no clique is never live: it reads the extra column
+            union = [ups.get(f, len(ups)) for f in (rows[ends[0]] | rows[ends[1]]).tolist()]
+            self._pairs[k] = ends, np.array(union, dtype=np.intp)
+        ends, union = self._pairs[k]
+        x = live[:, self.cols[k + 1]]
+        y = np.hstack([live[:, self.cols[k + 2]], np.zeros((len(live), 1), dtype=bool)])
+        block = slice(self.starts[j], self.starts[j] + x.shape[1])
+        rows = live.astype(np.float64) @ self.weights[:, block] + self.offsets[block]
+        links = x[:, ends[0]] & x[:, ends[1]] & ~y[:, union]
+        return _closed_component(np.where(x, rows - target, 1), ends, links)
 
     def singular(self, live: np.ndarray, k: int, target: int) -> bool:
         """Whether L_k - target*I of the complex with live columns ``live``,
@@ -537,7 +609,8 @@ class _Screen:
         the screen, by k, then by row.  A row bound above the target rules
         the pair out; one below it contradicts the bound and raises
         IntegrityError.  At equality L_k - target*I is weakly diagonally
-        dominant, hence PSD, so mu_k == target exactly when it is singular."""
+        dominant, hence PSD, so mu_k == target exactly when it is singular,
+        which needs a closed component of rows without slack."""
         if not self.targets:
             return []
         low = self.min_rows(live)
@@ -550,10 +623,10 @@ class _Screen:
                     f"degree row bound {low[i, j]:.0f} < target {target} at k={k} on the "
                     f"complex with missing faces {missing(i)}: the bound is violated"
                 )
-            out += [
-                (i, k, target) for i in np.flatnonzero(low[:, j] == target).tolist()
-                if self.singular(live[i], k, target)
-            ]
+            at = np.flatnonzero(low[:, j] == target)
+            if at.size:
+                at = at[self.closed(live[at], j)]
+            out += [(i, k, target) for i in at.tolist() if self.singular(live[i], k, target)]
         return out
 
 
@@ -587,44 +660,145 @@ def _prefixes(cliques: dict[int, list[int]], d: int) -> Iterator[tuple[list[int]
     yield from layer(3, [], (1 << len(tops)) - 1)
 
 
-def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -> Iterator[tuple]:
-    """Every complex on n vertices with maximal missing-face dimension d, in
-    batches of at most D2_SCREEN_CHUNK.
+@dataclass
+class _Range:
+    """The complexes of one graph, one prefix and one ``hi``: a top layer T,
+    start <= T < stop, whose bit j picks low[j].  ``base`` is the family
+    left by the non-edges and the faces ``extra`` chosen below the top
+    layer, and kills[j] the columns of ``base`` that hold low[j], so the
+    complex T has the family base & ~(kills of T's bits)."""
+
+    screen: _Screen
+    nonedges: list[Simplex]
+    extra: list[int]
+    low: list[int]
+    base: int
+    kills: list[int]
+    start: int
+    stop: int
+
+    def missing(self, T: int) -> list[Simplex]:
+        picked = [q for j, q in enumerate(self.low) if (T >> j) & 1]
+        return _missing(self.nonedges, self.extra + picked)
+
+    def families(self) -> set[int]:
+        """The distinct families of the range.  [0, stop) is cut into
+        aligned blocks, one per bit of ``stop``, each T with its lowest m
+        bits free: a block's families are those of the first m tops, built
+        by doubling over the tops with deduplication, cut by the kills of
+        the block's fixed bits.  The empty top layer T = 0 has the family
+        ``base``, which a range from 1 keeps only if a single top kills
+        nothing."""
+        layers, out, fixed = [{self.base}], set(), 0
+        for m in reversed(range(self.stop.bit_length())):
+            if not (self.stop >> m) & 1:
+                continue
+            while len(layers) <= m:
+                kill = self.kills[len(layers) - 1]
+                layers.append(layers[-1] | {f & ~kill for f in layers[-1]})
+            out |= {f & ~fixed for f in layers[m]} if fixed else layers[m]
+            if m < len(self.kills):
+                fixed |= self.kills[m]
+        if self.start and not any(1 << j < self.stop and not kill
+                                  for j, kill in enumerate(self.kills)):
+            out.discard(self.base)
+        return out
+
+    def selections(self, family: int) -> Iterator[int]:
+        """The T of the range whose complex has ``family``, ascending: a
+        walk from the highest bit down, cut where the range is left or the
+        tops still open can no longer kill what the family lacks."""
+        dead = self.base & ~family
+        fit = [kill & ~dead == 0 for kill in self.kills]
+        below = [0]
+        for kill, ok in zip(self.kills, fit):
+            below.append(below[-1] | (kill if ok else 0))
+
+        def walk(i: int, T: int, killed: int) -> Iterator[int]:
+            if T >= self.stop or T + (1 << i) <= self.start or (killed | below[i]) != dead:
+                return
+            if i == 0:
+                yield T
+                return
+            yield from walk(i - 1, T, killed)
+            if fit[i - 1]:
+                yield from walk(i - 1, T | 1 << (i - 1), killed | self.kills[i - 1])
+
+        return walk(len(self.kills), 0, 0)
+
+
+def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -> Iterator[_Range]:
+    """Every complex on n vertices with maximal missing-face dimension d, as
+    ranges over one screen on K_n, built once the first graph is drawn.
 
     A complex is a graph class, faces of cardinalities 3..d from
     ``_prefixes`` and a nonempty top layer of (d+1)-cliques holding none of
-    them.  The top layer is the value T, 1 <= T < 2**len(tops), whose bit i
-    picks tops[i]; a column is live when it holds no chosen face, a test on
-    bitmasks.  Tops past the first _T_BITS are picked by the Python int
-    ``hi`` outside the batches, so T fits in uint64.
+    them.  A column is live when it holds no non-edge and no chosen face.
+    Tops past the first _T_BITS are picked by ``hi`` outside the range, so
+    each ``hi`` opens a range of its own.
     """
+    screen = None
     for edges in graphs:
         cliques = _cliques(n, edges)
         if not cliques[d + 1]:
             continue
-        screen = _Screen(n, d, cliques)
+        if screen is None:
+            screen = _Screen(n, d, _cliques(n, combinations(range(n), 2)))
         nonedges = sorted(set(combinations(range(n), 2)).difference(edges))
+        graph = ((1 << len(screen.faces)) - 1) & ~screen.covers([_mask(e) for e in nonedges])
         for chosen, alive in _prefixes(cliques, d):
             tops = [q for j, q in enumerate(cliques[d + 1]) if (alive >> j) & 1]
             low, high = tops[:_T_BITS], tops[_T_BITS:]
-            bits = (screen.inside(low) << np.arange(len(low), dtype=np.uint64)).sum(1, np.uint64)
             for hi in range(1 << len(high)):
                 extra = chosen + [q for i, q in enumerate(high) if (hi >> i) & 1]
-                base = ~screen.inside(extra).any(axis=1)
-                t, top = (0 if hi else 1), 1 << len(low)
-                while t < top:
-                    count = min(D2_SCREEN_CHUNK, top - t)
-                    T = np.arange(count, dtype=np.uint64) + np.uint64(t)
-                    live = base & ((T[:, None] & bits) == 0)
-                    yield count, screen, live, partial(_selection, nonedges, extra, low, T)
-                    t += count
+                base = graph & ~screen.covers(extra)
+                kills = [screen.covers([q]) & base for q in low]
+                yield _Range(screen, nonedges, extra, low, base, kills,
+                             start=0 if hi else 1, stop=1 << len(low))
 
 
-def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple]:
-    """``budget`` complexes drawn deterministically from ``seed``, one batch
-    each: a graph, then missing faces of cardinalities 3..d+1, layer by
-    layer, from the cliques holding no face drawn below.  A draw with no
-    (d+1)-clique left for its top layer is counted and not screened."""
+def _exhaustive(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]],
+                budget: int | None) -> tuple[list[ProbeHit], int, bool]:
+    """Screen each distinct family of the walk once, then confirm with
+    ``_verify_hit`` every complex of a family the screen kept, in the order
+    range, block of D2_SCREEN_CHUNK selections, k, complex.  ``budget`` caps
+    the complexes examined; the report is incomplete when a further one was
+    left."""
+    held: dict[int, list[tuple[int, int]]] = {}  # family -> the (k, target) it holds
+    canonical: dict[int, SimplicialComplex] = {}
+    hits: list[ProbeHit] = []
+    examined = 0
+    for r in _layered_walk(n, d, graphs):
+        cut = False
+        if budget is not None:
+            if examined >= budget:
+                return hits, examined, False
+            cut = r.stop - r.start > budget - examined
+            r.stop = min(r.stop, r.start + budget - examined)
+        examined += r.stop - r.start
+        families = r.families()
+        new = [f for f in families if f not in held]
+        if new:
+            held.update((f, []) for f in new)
+            for i, k, target in r.screen.equalities(
+                    r.screen.unpack(new), lambda i: r.missing(next(r.selections(new[i])))):
+                held[new[i]].append((k, target))
+        found = sorted(((T - r.start) // D2_SCREEN_CHUNK, k, T, target)
+                       for f in families if held[f] for T in r.selections(f)
+                       for k, target in held[f])
+        hits += [_verify_hit(from_missing_faces(n, r.missing(T)), d, k, target, canonical)
+                 for _, k, T, target in found]
+        if cut:
+            return hits, examined, False
+    return hits, examined, True
+
+
+def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple | None]:
+    """``budget`` complexes drawn deterministically from ``seed``, each with
+    a screen of its own: a graph, then missing faces of cardinalities
+    3..d+1, layer by layer, from the cliques holding no face drawn below.
+    A draw with no (d+1)-clique left for its top layer is None, counted and
+    not screened."""
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     for _ in range(budget):
@@ -636,7 +810,7 @@ def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple]:
             eligible = [s for s in cliques[c] if all(m & s != m for m in chosen)]
             if c == d + 1:
                 if not eligible:
-                    yield 1, None, None, None
+                    yield None
                     break
                 q = rng.uniform(0.1, 0.9)
                 layer = [s for s in eligible if rng.random() < q]
@@ -648,31 +822,24 @@ def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple]:
             chosen.extend(layer)
         else:
             screen = _Screen(n, d, cliques)
-            nonedges = sorted(set(pairs).difference(edges))
-            yield 1, screen, ~screen.inside(chosen).any(axis=1)[None, :], partial(
-                _selection, nonedges, chosen, [], [0])
+            yield screen, ~screen.inside(chosen).any(axis=1)[None, :], partial(
+                _missing, sorted(set(pairs).difference(edges)), chosen)
 
 
-def _probe(
-    n: int, d: int, batches: Iterator[tuple], budget: int | None
-) -> tuple[list[ProbeHit], int, bool]:
-    """Screen each batch and confirm every pair left with ``_verify_hit`` on
-    a freshly built complex, batch by batch, then by k, then by complex.
-    ``budget`` caps the complexes examined; the report is incomplete when a
-    further one was left."""
+def _probe(n: int, d: int, draws: Iterator[tuple | None]) -> tuple[list[ProbeHit], int]:
+    """Screen each draw and confirm every pair left with ``_verify_hit`` on
+    a freshly built complex, draw by draw, then by k."""
     hits: list[ProbeHit] = []
+    canonical: dict[int, SimplicialComplex] = {}
     examined = 0
-    for count, screen, live, missing in batches:
-        if budget is not None:
-            if examined >= budget:
-                return hits, examined, False
-            count = min(count, budget - examined)
-        examined += count
-        if screen is None:
+    for draw in draws:
+        examined += 1
+        if draw is None:
             continue
-        for i, k, target in screen.equalities(live[:count], missing):
-            hits.append(_verify_hit(from_missing_faces(n, missing(i)), d, k, target))
-    return hits, examined, True
+        screen, live, missing = draw
+        for _, k, target in screen.equalities(live, lambda i: missing()):
+            hits.append(_verify_hit(from_missing_faces(n, missing()), d, k, target, canonical))
+    return hits, examined
 
 
 def probe_equality_cases(
@@ -690,9 +857,10 @@ def probe_equality_cases(
     each pair; every equality is decided again, exactly, on a freshly built
     complex and checked for isomorphism with the canonical join form.
     Exhaustive mode covers every isomorphism class of graph and every
-    selection of missing faces above it; without a ``budget`` it refuses,
-    before enumerating, when K_n alone offers more than
-    2**PROBE_SELECTION_BITS selections.  Random mode samples ``budget``
+    selection of missing faces above it, screening each distinct family of
+    live k- and (k+1)-faces once, since L_k depends on nothing else; without
+    a ``budget`` it refuses, before enumerating, when K_n alone offers more
+    than 2**PROBE_SELECTION_BITS selections.  Random mode samples ``budget``
     complexes deterministically from ``seed`` (0 when None); a seed in
     exhaustive mode, which would ignore it, is refused.
     """
@@ -712,12 +880,12 @@ def probe_equality_cases(
                 f"selections on K_{n} alone, over 2^{PROBE_SELECTION_BITS}; "
                 "bound it with a budget (--budget)"
             )
-        batches, cap = _layered_walk(n, d, _graph_classes(n)), budget
+        hits, examined, complete = _exhaustive(n, d, _graph_classes(n), budget)
     elif mode == "random":
         seed = 0 if seed is None else seed
-        batches, cap = _sampled(n, d, budget if budget is not None else 1000, seed), None
+        hits, examined = _probe(n, d, _sampled(n, d, budget if budget is not None else 1000, seed))
+        complete = True
     else:
         raise InputError(f"unknown probe mode {mode!r}")
-    hits, examined, complete = _probe(n, d, batches, cap)
     return ProbeReport(d=d, n=n, mode=mode, budget=budget, seed=seed, examined=examined,
                        complete=complete, hits=tuple(hits))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import lapgap as lg
 
@@ -54,3 +56,23 @@ def build_corpus(size: int, seed: int, n_min: int = 3, n_max: int = 8):
 def small_corpus():
     """A quick shared corpus for module-level property sweeps."""
     return build_corpus(60, seed=7, n_min=3, n_max=7)
+
+
+@st.composite
+def dominant_matrices(draw):
+    """Symmetric weakly dominant integer matrices: off-diagonal weights
+    signed by a hidden switching, most of them balanced, a few flipped, and
+    a few rows with slack."""
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    sign = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=len(pairs),
+                            max_size=len(pairs)))
+    flips = draw(st.lists(st.sampled_from([1] * 9 + [-1]), min_size=len(pairs),
+                          max_size=len(pairs)))
+    M = np.zeros((n, n), dtype=np.int64)
+    for (i, j), w, f in zip(pairs, weights, flips):
+        M[i, j] = M[j, i] = -sign[i] * sign[j] * w * f
+    slack = draw(st.lists(st.sampled_from([0] * 5 + [1, 2]), min_size=n, max_size=n))
+    M[np.diag_indices(n)] = np.abs(M).sum(axis=1) + slack
+    return M

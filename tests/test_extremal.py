@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import lapgap as lg
 from lapgap.complexes import SimplicialComplex, facets
@@ -17,12 +18,15 @@ from lapgap.extremal import (
     ProbeHit,
     _candidate_targets,
     _canonical_for,
+    _closed_component,
     _layered_walk,
     from_missing_faces,
     graphs_up_to_isomorphism,
     isomorphic,
 )
 from lapgap.spectral import spectral_gap
+
+from conftest import dominant_matrices
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -277,6 +281,87 @@ def test_isomorphic_cap():
     big = lg.full_simplex(14)
     with pytest.raises(SizeLimitError):
         lg.isomorphic(big, big)
+
+
+# The search that tested faces as vertex sets, which the bitmask search
+# replaced, kept verbatim as the oracle for its witnesses.
+
+
+def _isomorphic_by_sets(X, Y):
+    vx, vy = X.vertices(), Y.vertices()
+    if max(len(vx), len(vy)) > lg.extremal.ISO_VERTEX_CAP:
+        raise SizeLimitError(f"isomorphism search capped at {lg.extremal.ISO_VERTEX_CAP} vertices")
+    if len(vx) != len(vy) or X.dim != Y.dim:
+        return None
+    if any(len(X.faces(k)) != len(Y.faces(k)) for k in range(X.dim + 1)):
+        return None
+    prof_x = lg.extremal._vertex_face_profile(X)
+    prof_y = lg.extremal._vertex_face_profile(Y)
+    if sorted(prof_x.values()) != sorted(prof_y.values()):
+        return None
+
+    faces_at_x = {v: [f for f in X.all_faces() if v in f] for v in vx}
+    faces_at_y = {v: [f for f in Y.all_faces() if v in f] for v in vy}
+    candidates = {
+        u: [v for v in vy if prof_y[v] == prof_x[u]] for u in vx
+    }
+    order = sorted(vx, key=lambda u: len(candidates[u]))
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def consistent(u: int, v: int) -> bool:
+        dom = set(mapping) | {u}
+        img = set(used) | {v}
+        count_x = 0
+        trial = dict(mapping)
+        trial[u] = v
+        for f in faces_at_x[u]:
+            if not dom.issuperset(f):
+                continue
+            count_x += 1
+            if tuple(sorted(trial[w] for w in f)) not in Y:
+                return False
+        count_y = sum(1 for g in faces_at_y[v] if img.issuperset(g))
+        return count_x == count_y
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        u = order[i]
+        for v in candidates[u]:
+            if v in used or not consistent(u, v):
+                continue
+            mapping[u] = v
+            used.add(v)
+            if extend(i + 1):
+                return True
+            del mapping[u]
+            used.discard(v)
+        return False
+
+    return dict(sorted(mapping.items())) if extend(0) else None
+
+
+def test_isomorphic_matches_the_set_search(small_corpus):
+    # the same witness, or None, on each corpus complex against itself
+    # relabeled, against every corpus complex of its face counts and
+    # against its links; on the probe hits against their canonical forms
+    rng = random.Random(17)
+    pairs = []
+    for X in small_corpus:
+        perm = list(range(X.n))
+        rng.shuffle(perm)
+        pairs.append((X, lg.relabel(X, perm)))
+        pairs += [(X, Y) for Y in small_corpus if Y.f_vector() == X.f_vector()]
+        pairs += [(lg.link(X, (v,)), lg.link(X, (w,)))
+                  for v, w in combinations(X.vertices()[:4], 2)]
+    for d, n in ((2, 6), (3, 5), (4, 5)):
+        pairs += [(lg.from_facets(h.n, h.facets), _canonical_for(h.n, h.k, h.d))
+                  for h in lg.probe_equality_cases(d, n).hits]
+    found = [lg.isomorphic(X, Y) for X, Y in pairs]
+    assert found == [_isomorphic_by_sets(X, Y) for X, Y in pairs]
+    assert sum(m is None for m in found) > 50 and sum(m is not None for m in found) > 100
 
 
 # The bucket-and-backtrack enumeration that canonical codes replaced, kept
@@ -561,8 +646,12 @@ def _report(rep):
 
 # (4,6) and (3,7) with a budget of 3000, where the oracle takes seconds, are
 # pinned by their stdout digests in tests/test_cli.py instead
+# (3,5,5) and (3,6,90) cut inside a range of several selections; (2,5,1261)
+# inside the last range, one complex short of the end; (2,6,11294) one past
+# the first D2_SCREEN_CHUNK boundary of the range of 8191 selections at 9245
 @pytest.mark.parametrize("d,n,budget", [(3, 4, 1000), (3, 4, 2000), (3, 5, 1000), (3, 5, 2000),
-                                        (3, 6, 1000), (3, 6, 2000), (4, 5, None)])
+                                        (3, 6, 1000), (3, 6, 2000), (4, 5, None), (3, 5, 5),
+                                        (3, 6, 90), (2, 5, 1261), (2, 6, 11294)])
 def test_engine_matches_the_layered_oracle(d, n, budget):
     assert _report(lg.probe_equality_cases(d, n, budget=budget)) == list(
         _probe_general(n, d, budget, 1e-7))
@@ -661,8 +750,13 @@ def _float_screen_probe_d2(n, budget, tol):
     return hits, examined, complete
 
 
+# (6, 11294) cuts one past the first D2_SCREEN_CHUNK boundary of the range
+# of 8191 selections at 9245, (6, 91424) seven past the second one of K_6's
+# range at 87321, whose first two blocks each hold hits of both targets, so
+# the hits come by block before k
 @pytest.mark.parametrize("n,budget", [(3, None), (4, None), (5, None), (5, 100),
-                                      (6, 3000), (6, 70000), (6, 120000)] + [
+                                      (6, 3000), (6, 70000), (6, 120000), (6, 11294),
+                                      (6, 91424)] + [
     (n, budget) for n in (3, 4, 5, 6) for budget in (100, 3000, 120000)
     if (n, budget) not in ((5, 100), (6, 3000), (6, 120000))] + [(7, 5000)])
 def test_integer_screen_matches_the_float_screen(n, budget):
@@ -672,37 +766,99 @@ def test_integer_screen_matches_the_float_screen(n, budget):
         _float_screen_probe_d2(n, budget, 1e-7))
 
 
+def _walk(n, d, graphs):
+    """(range, T, family) for every complex of the exhaustive walk, the
+    family rebuilt from the range's kills one selection at a time."""
+    for r in _layered_walk(n, d, graphs):
+        for T in range(r.start, r.stop):
+            family = r.base
+            for j, kill in enumerate(r.kills):
+                if (T >> j) & 1:
+                    family &= ~kill
+            yield r, T, family
+
+
 def test_batched_min_row_is_the_degree_row_bound():
-    # a graph with no 4-clique drops the target k=3: its rows read inf
+    # a graph with no 4-clique has no live k=3 column: its rows read inf
     cases = [(2, lg.graphs_up_to_isomorphism(5)[-1]),
              (2, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (0, 4))),
              (3, lg.graphs_up_to_isomorphism(5)[-2])]
     for d, edges in cases:
-        for count, screen, live, missing in _layered_walk(5, d, [edges]):
-            low = screen.min_rows(live) if screen.targets else np.zeros((count, 0))
-            for i in range(count):
-                X = lg.from_missing_faces(5, missing(i))
-                rows = dict(zip([k for k, _ in screen.targets], low[i]))
-                for k, _ in _candidate_targets(5, d):
-                    expect = lg.gershgorin_from_degrees(X, k) if X.faces(k) else np.inf
-                    assert rows.get(k, np.inf) == expect, (edges, missing(i), k)
+        for r, T, family in _walk(5, d, [edges]):
+            X = lg.from_missing_faces(5, r.missing(T))
+            rows = dict(zip([k for k, _ in r.screen.targets],
+                            r.screen.min_rows(r.screen.unpack([family]))[0]))
+            for k, _ in _candidate_targets(5, d):
+                expect = lg.gershgorin_from_degrees(X, k) if X.faces(k) else np.inf
+                assert rows.get(k, np.inf) == expect, (edges, r.missing(T), k)
+
+
+@pytest.mark.parametrize("n,d,cut,tbits", [(5, 2, None, 63), (5, 3, None, 63), (6, 2, 3000, 63),
+                                           (6, 2, 700, 63), (6, 3, 5, 63), (5, 2, None, 3),
+                                           (6, 2, 6, 4)])
+def test_families_and_selections_match_each_selection(monkeypatch, n, d, cut, tbits):
+    # the first 300 ranges on the last three graphs, whole and cut at
+    # ``cut`` selections, with ranges of at most 2**tbits: the distinct
+    # families, and the selections of each in order, as one by one
+    monkeypatch.setattr(lg.extremal, "_T_BITS", tbits)
+    for r in islice(_layered_walk(n, d, lg.graphs_up_to_isomorphism(n)[-3:]), 300):
+        if cut is not None:
+            r.stop = min(r.stop, r.start + cut)
+        by_family = {}
+        for T in range(r.start, r.stop):
+            family = r.base
+            for j, kill in enumerate(r.kills):
+                if (T >> j) & 1:
+                    family &= ~kill
+            by_family.setdefault(family, []).append(T)
+        assert r.families() == set(by_family)
+        assert all(list(r.selections(f)) == ts for f, ts in by_family.items())
 
 
 def _screen_equalities(n, edges, top=None):
     """(complex, k, target, kept by the rank) for each pair at the screen's
-    equality among the first ``top`` complexes the walk builds on a graph."""
-    for count, screen, live, missing in _layered_walk(n, 2, [edges]):
-        count = count if top is None else min(count, top)
-        if screen.targets:
-            low = screen.min_rows(live[:count])
-            for j, (k, target) in enumerate(screen.targets):
-                for i in np.flatnonzero(low[:, j] == target):
-                    yield (lg.from_missing_faces(n, missing(i)), k, target,
-                           screen.singular(live[i], k, target))
-        if top is not None:
-            top -= count
-            if not top:
-                return
+    equality among the first ``top`` complexes the walk builds on a graph;
+    the screen's prefilter on each reads as on the fresh complex's L_k."""
+    for i, (r, T, family) in enumerate(_walk(n, 2, [edges])):
+        if i == top:
+            return
+        live = r.screen.unpack([family])
+        low = r.screen.min_rows(live)[0]
+        for j, (k, target) in enumerate(r.screen.targets):
+            if low[j] == target:
+                X = lg.from_missing_faces(n, r.missing(T))
+                L = lg.laplacian(X, k).mat
+                assert r.screen.closed(live, j)[0] == _prefilter(
+                    L - target * np.eye(len(L), dtype=np.int64))
+                yield X, k, target, r.screen.singular(live[0], k, target)
+
+
+def _prefilter(M):
+    """``_closed_component`` on the off-diagonal support of the matrix M."""
+    i, j = np.triu_indices(len(M), 1)
+    slack = 2 * np.diag(M) - np.abs(M).sum(axis=1)
+    return bool(_closed_component(slack[None], np.array([i, j]), (M[i, j] != 0)[None])[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=dominant_matrices())
+def test_prefilter_keeps_every_balanced_kernel(M):
+    assert _prefilter(M) or not lg.spectral.balanced_kernel(M)
+
+
+def test_prefilter_keeps_every_balanced_kernel_of_the_corpus(small_corpus):
+    # L_k - row*I at the Gershgorin row bound: kept wherever it is singular
+    kept = dropped = 0
+    for X in small_corpus:
+        for k in range(X.dim + 1):
+            L = lg.laplacian(X, k).mat
+            M = L - int(lg.gershgorin_lower_bound(L)) * np.eye(len(L), dtype=np.int64)
+            if lg.spectral.balanced_kernel(M):
+                assert _prefilter(M), (facets(X), k)
+                kept += 1
+            else:
+                dropped += not _prefilter(M)
+    assert kept > 20 and dropped > 20
 
 
 def test_rank_keeps_the_hits_and_drops_only_gaps_above_the_target():
@@ -740,6 +896,8 @@ def test_a_screen_the_fresh_laplacian_contradicts_raises(monkeypatch):
     # every pair at the row bound kept (at n=5 each of them holds, at n=6
     # not): the confirm, deciding again on the freshly built complex's own
     # L_k, refuses the ones that do not hold
+    monkeypatch.setattr(lg.extremal._Screen, "closed",
+                        lambda self, live, j: np.ones(len(live), dtype=bool))
     monkeypatch.setattr(lg.extremal._Screen, "singular", lambda self, live, k, target: True)
     with pytest.raises(IntegrityError, match="its Laplacian does not"):
         lg.probe_equality_cases(2, 6, mode="random", budget=300, seed=9)
@@ -755,8 +913,7 @@ def test_top_layers_wider_than_a_batch_value(monkeypatch):
 def test_k8_offers_70_tops_at_d3(monkeypatch):
     K8 = tuple(combinations(range(8), 2))
     monkeypatch.setitem(globals(), "graphs_up_to_isomorphism", lambda n: (K8,))
-    walk = lg.extremal._layered_walk(8, 3, [K8])
-    assert list(lg.extremal._probe(8, 3, walk, 50)) == list(
+    assert list(lg.extremal._exhaustive(8, 3, [K8], 50)) == list(
         _probe_general(8, 3, 50, 1e-7))
 
 

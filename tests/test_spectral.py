@@ -19,7 +19,7 @@ import lapgap as lg
 from lapgap import hodge, spectral
 from lapgap.errors import DomainError, InputError, IntegrityError
 
-from conftest import random_complex
+from conftest import dominant_matrices, random_complex
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -353,26 +353,6 @@ def test_rank_mod_p_reduces_sparse_rows_in_place():
 
 
 # --- balanced kernels ---------------------------------------------------------------
-
-
-@st.composite
-def dominant_matrices(draw):
-    """Symmetric weakly dominant integer matrices: off-diagonal weights
-    signed by a hidden switching, most of them balanced, a few flipped, and
-    a few rows with slack."""
-    n = draw(st.integers(1, 12))
-    pairs = list(combinations(range(n), 2))
-    sign = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=len(pairs),
-                            max_size=len(pairs)))
-    flips = draw(st.lists(st.sampled_from([1] * 9 + [-1]), min_size=len(pairs),
-                          max_size=len(pairs)))
-    M = np.zeros((n, n), dtype=np.int64)
-    for (i, j), w, f in zip(pairs, weights, flips):
-        M[i, j] = M[j, i] = -sign[i] * sign[j] * w * f
-    slack = draw(st.lists(st.sampled_from([0] * 5 + [1, 2]), min_size=n, max_size=n))
-    M[np.diag_indices(n)] = np.abs(M).sum(axis=1) + slack
-    return M
 
 
 @settings(max_examples=200, deadline=None)

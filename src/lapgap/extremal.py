@@ -44,7 +44,9 @@ from .spectral import join_spectrum, skeleton_spectrum, spectral_gap
 ISO_VERTEX_CAP = 14
 GRAPH_CODE_CHUNK = 1 << 19  # entries of one candidates-by-permutations code block
 PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selections
-D2_SCREEN_CHUNK = 2048  # a range lists its hits in blocks of this many selections, by k within one
+# families per screen batch; a range lists its hits in blocks of this many
+# selections, by k within a block
+D2_SCREEN_CHUNK = 2048
 _T_BITS = 63  # top-layer cliques one selection range picks from; ``hi`` picks the rest
 Z_FACE_CAP = 5000  # verify_z_family refuses a Z(d,t,r) with more faces
 
@@ -759,9 +761,10 @@ def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -
 
 def _exhaustive(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]],
                 budget: int | None) -> tuple[list[ProbeHit], int, bool]:
-    """Screen each distinct family of the walk once, then confirm with
-    ``_verify_hit`` every complex of a family the screen kept, in the order
-    range, block of D2_SCREEN_CHUNK selections, k, complex.  ``budget`` caps
+    """Screen each distinct family of the walk once, in batches of at most
+    D2_SCREEN_CHUNK families, then confirm with ``_verify_hit`` every
+    complex of a family the screen kept, in the order range, block of
+    D2_SCREEN_CHUNK selections, k, complex.  ``budget`` caps
     the complexes examined; the report is incomplete when a further one was
     left."""
     held: dict[int, list[tuple[int, int]]] = {}  # family -> the (k, target) it holds
@@ -778,11 +781,12 @@ def _exhaustive(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]],
         examined += r.stop - r.start
         families = r.families()
         new = [f for f in families if f not in held]
-        if new:
-            held.update((f, []) for f in new)
+        held.update((f, []) for f in new)
+        for s in range(0, len(new), D2_SCREEN_CHUNK):
+            batch = new[s:s + D2_SCREEN_CHUNK]
             for i, k, target in r.screen.equalities(
-                    r.screen.unpack(new), lambda i: r.missing(next(r.selections(new[i])))):
-                held[new[i]].append((k, target))
+                    r.screen.unpack(batch), lambda i: r.missing(next(r.selections(batch[i])))):
+                held[batch[i]].append((k, target))
         found = sorted(((T - r.start) // D2_SCREEN_CHUNK, k, T, target)
                        for f in families if held[f] for T in r.selections(f)
                        for k, target in held[f])

@@ -766,16 +766,20 @@ def test_integer_screen_matches_the_float_screen(n, budget):
         _float_screen_probe_d2(n, budget, 1e-7))
 
 
+def _family(r, T):
+    """The family of the complex T of the range r, from the kills of T's bits."""
+    family = r.base
+    for j, kill in enumerate(r.kills):
+        if (T >> j) & 1:
+            family &= ~kill
+    return family
+
+
 def _walk(n, d, graphs):
-    """(range, T, family) for every complex of the exhaustive walk, the
-    family rebuilt from the range's kills one selection at a time."""
+    """(range, T, family) for every complex of the exhaustive walk."""
     for r in _layered_walk(n, d, graphs):
         for T in range(r.start, r.stop):
-            family = r.base
-            for j, kill in enumerate(r.kills):
-                if (T >> j) & 1:
-                    family &= ~kill
-            yield r, T, family
+            yield r, T, _family(r, T)
 
 
 def test_batched_min_row_is_the_degree_row_bound():
@@ -806,11 +810,7 @@ def test_families_and_selections_match_each_selection(monkeypatch, n, d, cut, tb
             r.stop = min(r.stop, r.start + cut)
         by_family = {}
         for T in range(r.start, r.stop):
-            family = r.base
-            for j, kill in enumerate(r.kills):
-                if (T >> j) & 1:
-                    family &= ~kill
-            by_family.setdefault(family, []).append(T)
+            by_family.setdefault(_family(r, T), []).append(T)
         assert r.families() == set(by_family)
         assert all(list(r.selections(f)) == ts for f, ts in by_family.items())
 

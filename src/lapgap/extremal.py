@@ -10,7 +10,9 @@ or by sampling.  Every equality mu_k == target is decided in integers: a
 degree or Gershgorin row bound, then ``spectral.balanced_kernel``.  The
 exhaustive probe screens each distinct family of live k- and (k+1)-faces
 once, since L_k depends on nothing else, and lists the complexes of a
-family only when the screen keeps it.
+family only when the screen keeps it.  The random probe runs through the
+same screen and confirm: each draw is a range of one selection on a screen
+of its own graph.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +49,6 @@ PROBE_SELECTION_BITS = 22  # without a budget, K_n may offer at most 2**22 selec
 # families per screen batch; a range lists its hits in blocks of this many
 # selections, by k within a block
 D2_SCREEN_CHUNK = 2048
-_T_BITS = 63  # top-layer cliques one selection range picks from; ``hi`` picks the rest
 Z_FACE_CAP = 5000  # verify_z_family refuses a Z(d,t,r) with more faces
 
 
@@ -388,15 +389,12 @@ def _canonical_for(n: int, k: int, d: int) -> SimplicialComplex:
     return _skeleton_power_join(d, m, r)
 
 
-def _candidate_targets(n: int, d: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _candidate_targets(n: int, d: int) -> tuple[tuple[int, int], ...]:
     # targets below 0 can never equal a PSD spectrum; dim <= n-2 when a
-    # missing face exists
-    out = []
-    for k in range(0, n - 1):
-        target = (d + 1) * (k + 1) - d * n
-        if target >= 0:
-            out.append((k, target))
-    return out
+    # missing face exists; cached, as every random draw asks
+    return tuple((k, (d + 1) * (k + 1) - d * n) for k in range(0, n - 1)
+                 if (d + 1) * (k + 1) - d * n >= 0)
 
 
 def _verify_hit(X: SimplicialComplex, d: int, k: int, target: int,
@@ -443,21 +441,16 @@ def _cliques(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
             held += len(grown)
             start = stop
             if held > MAX_FACES:
-                raise SizeLimitError(
-                    f"the graph on {n} vertices has over {MAX_FACES} cliques, the size cap"
-                )
+                raise _over_the_clique_cap(n)
     return out
+
+
+def _over_the_clique_cap(n: int) -> SizeLimitError:
+    return SizeLimitError(f"the graph on {n} vertices has over {MAX_FACES} cliques, the size cap")
 
 
 def _vertices(mask: int) -> Simplex:
     return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
-
-
-def _missing(nonedges: list[Simplex], masks: list[int]) -> list[Simplex]:
-    """The missing faces ``nonedges`` and the vertex sets of the bitmasks
-    ``masks``.  Built only for a complex the probe confirms or reports, so
-    the screen handles bitmasks alone."""
-    return nonedges + [_vertices(m) for m in masks]
 
 
 def _incidence(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -498,10 +491,11 @@ class _Screen:
     the graph's cliques of the cardinalities the targets read: k+1 (the
     k-faces) and k+2, so the tables grow with the complexes, not with
     C(n, k+1), at any n a random probe takes; targets with no k-face on the
-    graph are dropped.  A random draw has a screen of its own; the
-    exhaustive probe builds one on K_n for all its graphs.  A complex is a
-    0/1 row of live columns, its faces; as a Python int, bit c for column c,
-    it is a family.  ``weights`` turns a row into
+    graph are dropped, and a screen left with none holds nothing else.  A
+    random draw has a screen of its own graph; the exhaustive probe builds
+    one on K_n for all its graphs.  A complex is a 0/1 row of live columns,
+    its faces; as a Python int of any width, bit c for column c, it is a
+    family.  ``weights`` turns a row into
     the degree row values (k+2)*deg + 2(k+1) - facet sum of every k-face,
     target by target, in one product: deg counts the live (k+1)-faces
     above, and the facet sum counts, through |delta_{k-1}| |delta_{k-1}|^T,
@@ -511,6 +505,8 @@ class _Screen:
 
     def __init__(self, n: int, d: int, cliques: dict[int, list[int]]) -> None:
         self.targets = [(k, t) for k, t in _candidate_targets(n, d) if cliques[k + 1]]
+        if not self.targets:
+            return
         cards = sorted({c for k, _ in self.targets for c in (k + 1, k + 2)})
         faces: list[int] = []
         self.cols: dict[int, slice] = {}
@@ -518,14 +514,13 @@ class _Screen:
             self.cols[c] = slice(len(faces), len(faces) + len(cliques[c]))
             faces += cliques[c]
         self.faces = np.array(faces, dtype=np.int64)
+        self._face_list = faces
         self._covers: dict[int, int] = {}
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if not self.targets:
-            return
         self.cob = {
             j: _incidence(np.array(cliques[j + 2], dtype=np.int64),
                           np.array(cliques[j + 1], dtype=np.int64))
-            for k, _ in self.targets for j in (k - 1, k)
+            for j in {j for k, _ in self.targets for j in (k - 1, k)}
         }
         blocks = []
         for k, _ in self.targets:
@@ -543,27 +538,23 @@ class _Screen:
         )
         self.starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
 
-    def inside(self, sets: list[int]) -> np.ndarray:
-        """(columns, sets): whether each column contains each vertex set."""
-        m = np.array(sets, dtype=np.int64)
-        return (self.faces[:, None] & m) == m
-
     def covers(self, sets: list[int]) -> int:
         """The columns containing any of the vertex sets, as a family."""
         out = 0
         for s in sets:
             if s not in self._covers:
-                self._covers[s] = sum(1 << c for c, f in enumerate(self.faces.tolist())
+                self._covers[s] = sum(1 << c for c, f in enumerate(self._face_list)
                                       if f & s == s)
             out |= self._covers[s]
         return out
 
     def unpack(self, families: list[int]) -> np.ndarray:
-        """(families, columns): the live columns of each family.  K_n on
-        n <= 8 vertices has at most 37 columns, so a family fits a uint64."""
-        bits = np.array(families, dtype=np.uint64)[:, None] >> np.arange(
-            len(self.faces), dtype=np.uint64)
-        return (bits & np.uint64(1)).astype(bool)
+        """(families, columns): the live columns of each family."""
+        width = len(self.faces)
+        size = (width + 7) // 8
+        raw = np.frombuffer(b"".join(f.to_bytes(size, "little") for f in families), dtype=np.uint8)
+        return np.unpackbits(raw.reshape(len(families), size), axis=1, count=width,
+                             bitorder="little").view(bool)
 
     def min_rows(self, live: np.ndarray) -> np.ndarray:
         """(complexes, targets): the least degree row value over the k-faces
@@ -613,8 +604,6 @@ class _Screen:
         IntegrityError.  At equality L_k - target*I is weakly diagonally
         dominant, hence PSD, so mu_k == target exactly when it is singular,
         which needs a closed component of rows without slack."""
-        if not self.targets:
-            return []
         low = self.min_rows(live)
         out = []
         for j, (k, target) in enumerate(self.targets):
@@ -664,11 +653,11 @@ def _prefixes(cliques: dict[int, list[int]], d: int) -> Iterator[tuple[list[int]
 
 @dataclass
 class _Range:
-    """The complexes of one graph, one prefix and one ``hi``: a top layer T,
-    start <= T < stop, whose bit j picks low[j].  ``base`` is the family
-    left by the non-edges and the faces ``extra`` chosen below the top
-    layer, and kills[j] the columns of ``base`` that hold low[j], so the
-    complex T has the family base & ~(kills of T's bits)."""
+    """The complexes of one screen, one set of non-edges and one set of
+    faces ``extra`` below the top layer: a nonempty top layer T < stop,
+    whose bit j picks low[j].  ``base`` is the family left by the non-edges
+    and ``extra``, and kills[j] the columns of ``base`` that hold low[j], so
+    the complex T has the family base & ~(kills of T's bits)."""
 
     screen: _Screen
     nonedges: list[Simplex]
@@ -676,12 +665,13 @@ class _Range:
     low: list[int]
     base: int
     kills: list[int]
-    start: int
     stop: int
 
     def missing(self, T: int) -> list[Simplex]:
+        """The missing faces of the complex T, built only for a complex the
+        probe confirms or reports, so the screen handles bitmasks alone."""
         picked = [q for j, q in enumerate(self.low) if (T >> j) & 1]
-        return _missing(self.nonedges, self.extra + picked)
+        return self.nonedges + [_vertices(m) for m in self.extra + picked]
 
     def families(self) -> set[int]:
         """The distinct families of the range.  [0, stop) is cut into
@@ -689,7 +679,7 @@ class _Range:
         bits free: a block's families are those of the first m tops, built
         by doubling over the tops with deduplication, cut by the kills of
         the block's fixed bits.  The empty top layer T = 0 has the family
-        ``base``, which a range from 1 keeps only if a single top kills
+        ``base``, which the range keeps only if a single top kills
         nothing."""
         layers, out, fixed = [{self.base}], set(), 0
         for m in reversed(range(self.stop.bit_length())):
@@ -701,8 +691,7 @@ class _Range:
             out |= {f & ~fixed for f in layers[m]} if fixed else layers[m]
             if m < len(self.kills):
                 fixed |= self.kills[m]
-        if self.start and not any(1 << j < self.stop and not kill
-                                  for j, kill in enumerate(self.kills)):
+        if not any(1 << j < self.stop and not kill for j, kill in enumerate(self.kills)):
             out.discard(self.base)
         return out
 
@@ -717,10 +706,11 @@ class _Range:
             below.append(below[-1] | (kill if ok else 0))
 
         def walk(i: int, T: int, killed: int) -> Iterator[int]:
-            if T >= self.stop or T + (1 << i) <= self.start or (killed | below[i]) != dead:
+            if T >= self.stop or (killed | below[i]) != dead:
                 return
             if i == 0:
-                yield T
+                if T:
+                    yield T
                 return
             yield from walk(i - 1, T, killed)
             if fit[i - 1]:
@@ -729,15 +719,23 @@ class _Range:
         return walk(len(self.kills), 0, 0)
 
 
+def _range(screen: _Screen, graph: int, nonedges: list[Simplex], extra: list[int],
+           tops: list[int]) -> _Range:
+    """The range of every nonempty selection of ``tops`` over the family
+    ``graph`` of a graph's live columns, with the faces ``extra`` below."""
+    base = graph & ~screen.covers(extra)
+    return _Range(screen, nonedges, extra, tops, base,
+                  [screen.covers([q]) & base for q in tops], 1 << len(tops))
+
+
 def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -> Iterator[_Range]:
     """Every complex on n vertices with maximal missing-face dimension d, as
     ranges over one screen on K_n, built once the first graph is drawn.
 
     A complex is a graph class, faces of cardinalities 3..d from
     ``_prefixes`` and a nonempty top layer of (d+1)-cliques holding none of
-    them.  A column is live when it holds no non-edge and no chosen face.
-    Tops past the first _T_BITS are picked by ``hi`` outside the range, so
-    each ``hi`` opens a range of its own.
+    them, one range per graph and prefix.  A column is live when it holds
+    no non-edge and no chosen face.
     """
     screen = None
     for edges in graphs:
@@ -749,45 +747,42 @@ def _layered_walk(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]]) -
         nonedges = sorted(set(combinations(range(n), 2)).difference(edges))
         graph = ((1 << len(screen.faces)) - 1) & ~screen.covers([_mask(e) for e in nonedges])
         for chosen, alive in _prefixes(cliques, d):
-            tops = [q for j, q in enumerate(cliques[d + 1]) if (alive >> j) & 1]
-            low, high = tops[:_T_BITS], tops[_T_BITS:]
-            for hi in range(1 << len(high)):
-                extra = chosen + [q for i, q in enumerate(high) if (hi >> i) & 1]
-                base = graph & ~screen.covers(extra)
-                kills = [screen.covers([q]) & base for q in low]
-                yield _Range(screen, nonedges, extra, low, base, kills,
-                             start=0 if hi else 1, stop=1 << len(low))
+            yield _range(screen, graph, nonedges, chosen,
+                         [q for j, q in enumerate(cliques[d + 1]) if (alive >> j) & 1])
 
 
-def _exhaustive(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]],
-                budget: int | None) -> tuple[list[ProbeHit], int, bool]:
-    """Screen each distinct family of the walk once, in batches of at most
-    D2_SCREEN_CHUNK families, then confirm with ``_verify_hit`` every
-    complex of a family the screen kept, in the order range, block of
-    D2_SCREEN_CHUNK selections, k, complex.  ``budget`` caps
-    the complexes examined; the report is incomplete when a further one was
-    left."""
+def _screen_and_confirm(n: int, d: int, ranges: Iterable[_Range],
+                        budget: int | None) -> tuple[list[ProbeHit], int, bool]:
+    """The probe of both modes.  Screen each distinct family of the ranges
+    of one screen once, in batches of at most D2_SCREEN_CHUNK families, then
+    confirm with ``_verify_hit`` every complex of a family the screen kept,
+    in the order range, block of D2_SCREEN_CHUNK selections, k, complex.
+    ``budget`` caps the complexes examined; the report is incomplete when a
+    further one was left."""
+    screen = None
     held: dict[int, list[tuple[int, int]]] = {}  # family -> the (k, target) it holds
     canonical: dict[int, SimplicialComplex] = {}
     hits: list[ProbeHit] = []
     examined = 0
-    for r in _layered_walk(n, d, graphs):
+    for r in ranges:
+        if r.screen is not screen:
+            screen, held = r.screen, {}
         cut = False
         if budget is not None:
             if examined >= budget:
                 return hits, examined, False
-            cut = r.stop - r.start > budget - examined
-            r.stop = min(r.stop, r.start + budget - examined)
-        examined += r.stop - r.start
+            cut = r.stop - 1 > budget - examined
+            r.stop = min(r.stop, 1 + budget - examined)
+        examined += r.stop - 1
         families = r.families()
         new = [f for f in families if f not in held]
         held.update((f, []) for f in new)
         for s in range(0, len(new), D2_SCREEN_CHUNK):
             batch = new[s:s + D2_SCREEN_CHUNK]
-            for i, k, target in r.screen.equalities(
-                    r.screen.unpack(batch), lambda i: r.missing(next(r.selections(batch[i])))):
+            for i, k, target in screen.equalities(
+                    screen.unpack(batch), lambda i: r.missing(next(r.selections(batch[i])))):
                 held[batch[i]].append((k, target))
-        found = sorted(((T - r.start) // D2_SCREEN_CHUNK, k, T, target)
+        found = sorted(((T - 1) // D2_SCREEN_CHUNK, k, T, target)
                        for f in families if held[f] for T in r.selections(f)
                        for k, target in held[f])
         hits += [_verify_hit(from_missing_faces(n, r.missing(T)), d, k, target, canonical)
@@ -797,24 +792,28 @@ def _exhaustive(n: int, d: int, graphs: Iterable[Sequence[tuple[int, int]]],
     return hits, examined, True
 
 
-def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple | None]:
-    """``budget`` complexes drawn deterministically from ``seed``, each with
-    a screen of its own: a graph, then missing faces of cardinalities
-    3..d+1, layer by layer, from the cliques holding no face drawn below.
-    A draw with no (d+1)-clique left for its top layer is None, counted and
-    not screened."""
+def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[_Range]:
+    """``budget`` complexes drawn deterministically from ``seed``: a graph,
+    then missing faces of cardinalities 3..d+1, layer by layer, from the
+    cliques holding no face drawn below.  Each draw is a range of the one
+    selection T = 1 on a screen of its own graph, whose top layer is the
+    last face drawn.  A draw with no (d+1)-clique left for its top layer,
+    or no target its graph has a k-face for, yields nothing.  The edges are
+    drawn one pair at a time, so a graph past the clique cap is refused
+    once its vertices and edges pass MAX_FACES."""
     rng = random.Random(seed)
-    pairs = list(combinations(range(n), 2))
     for _ in range(budget):
         p = rng.uniform(0.3, 0.95)
-        edges = [e for e in pairs if rng.random() < p]
+        edges = list(islice((e for e in combinations(range(n), 2) if rng.random() < p),
+                            max(0, MAX_FACES - n + 1)))
+        if n + len(edges) > MAX_FACES:
+            raise _over_the_clique_cap(n)
         cliques = _cliques(n, edges)
         chosen: list[int] = []
         for c in range(3, d + 2):
             eligible = [s for s in cliques[c] if all(m & s != m for m in chosen)]
             if c == d + 1:
                 if not eligible:
-                    yield None
                     break
                 q = rng.uniform(0.1, 0.9)
                 layer = [s for s in eligible if rng.random() < q]
@@ -826,24 +825,10 @@ def _sampled(n: int, d: int, budget: int, seed: int) -> Iterator[tuple | None]:
             chosen.extend(layer)
         else:
             screen = _Screen(n, d, cliques)
-            yield screen, ~screen.inside(chosen).any(axis=1)[None, :], partial(
-                _missing, sorted(set(pairs).difference(edges)), chosen)
-
-
-def _probe(n: int, d: int, draws: Iterator[tuple | None]) -> tuple[list[ProbeHit], int]:
-    """Screen each draw and confirm every pair left with ``_verify_hit`` on
-    a freshly built complex, draw by draw, then by k."""
-    hits: list[ProbeHit] = []
-    canonical: dict[int, SimplicialComplex] = {}
-    examined = 0
-    for draw in draws:
-        examined += 1
-        if draw is None:
-            continue
-        screen, live, missing = draw
-        for _, k, target in screen.equalities(live, lambda i: missing()):
-            hits.append(_verify_hit(from_missing_faces(n, missing()), d, k, target, canonical))
-    return hits, examined
+            if screen.targets:
+                nonedges = sorted(set(combinations(range(n), 2)).difference(edges))
+                yield _range(screen, (1 << len(screen.faces)) - 1, nonedges, chosen[:-1],
+                             chosen[-1:])
 
 
 def probe_equality_cases(
@@ -865,8 +850,9 @@ def probe_equality_cases(
     live k- and (k+1)-faces once, since L_k depends on nothing else; without
     a ``budget`` it refuses, before enumerating, when K_n alone offers more
     than 2**PROBE_SELECTION_BITS selections.  Random mode samples ``budget``
-    complexes deterministically from ``seed`` (0 when None); a seed in
-    exhaustive mode, which would ignore it, is refused.
+    complexes deterministically from ``seed`` (0 when None), each a range
+    of one selection for the same screen and confirm; a seed in exhaustive
+    mode, which would ignore it, is refused.
     """
     if seed is not None and mode != "random":
         raise InputError("--seed applies to --mode random only")
@@ -884,11 +870,12 @@ def probe_equality_cases(
                 f"selections on K_{n} alone, over 2^{PROBE_SELECTION_BITS}; "
                 "bound it with a budget (--budget)"
             )
-        hits, examined, complete = _exhaustive(n, d, _graph_classes(n), budget)
+        ranges = _layered_walk(n, d, _graph_classes(n))
+        hits, examined, complete = _screen_and_confirm(n, d, ranges, budget)
     elif mode == "random":
         seed = 0 if seed is None else seed
-        hits, examined = _probe(n, d, _sampled(n, d, budget if budget is not None else 1000, seed))
-        complete = True
+        examined = budget if budget is not None else 1000
+        hits, _, complete = _screen_and_confirm(n, d, _sampled(n, d, examined, seed), None)
     else:
         raise InputError(f"unknown probe mode {mode!r}")
     return ProbeReport(d=d, n=n, mode=mode, budget=budget, seed=seed, examined=examined,

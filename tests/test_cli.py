@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -489,6 +490,23 @@ def test_random_probe_past_the_clique_cap_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "cliques, the size cap" in err
     assert err.count("\n") == 1
+
+
+def test_random_probe_draws_edges_lazily_up_to_the_clique_cap():
+    # K_10000 has about 5e7 vertex pairs; the draw stops once vertices and
+    # edges pass MAX_FACES, well inside an address space of 1 GB
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "lapgap.cli", "probe", "--d", "2", "--n", "10000",
+                           "--mode", "random", "--budget", "1"],
+                          env=dict(os.environ, PYTHONPATH=path), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "input error: the graph on 10000 vertices has over 100000 cliques, the size cap\n")
 
 
 def test_probe_seed_is_for_random_mode_only(capsys):

@@ -657,7 +657,8 @@ def test_engine_matches_the_layered_oracle(d, n, budget):
         _probe_general(n, d, budget, 1e-7))
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (2, 7), (3, 6), (2, 8)])
+# (2, 9) draws screens wider than 64 columns: seed 0 reaches 130
+@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (2, 7), (3, 6), (2, 8), (2, 9)])
 def test_random_mode_matches_the_sampling_oracle(d, n):
     for seed in range(3):
         hits, examined = _probe_random(n, d, 100, seed, 1e-7)
@@ -778,8 +779,18 @@ def _family(r, T):
 def _walk(n, d, graphs):
     """(range, T, family) for every complex of the exhaustive walk."""
     for r in _layered_walk(n, d, graphs):
-        for T in range(r.start, r.stop):
+        for T in range(1, r.stop):
             yield r, T, _family(r, T)
+
+
+def test_unpack_reads_families_wider_than_64_columns():
+    # K_9's screen at d=2 has 130 columns; random draws on it leave few live
+    screen = lg.extremal._Screen(9, 2, lg.extremal._cliques(9, combinations(range(9), 2)))
+    rng = random.Random(5)
+    families = [0, (1 << 130) - 1] + [rng.getrandbits(130) for _ in range(20)]
+    live = screen.unpack(families)
+    assert live.shape == (22, 130) and live.dtype == bool
+    assert [sum(int(b) << c for c, b in enumerate(row)) for row in live] == families
 
 
 def test_batched_min_row_is_the_degree_row_bound():
@@ -797,19 +808,17 @@ def test_batched_min_row_is_the_degree_row_bound():
                 assert rows.get(k, np.inf) == expect, (edges, r.missing(T), k)
 
 
-@pytest.mark.parametrize("n,d,cut,tbits", [(5, 2, None, 63), (5, 3, None, 63), (6, 2, 3000, 63),
-                                           (6, 2, 700, 63), (6, 3, 5, 63), (5, 2, None, 3),
-                                           (6, 2, 6, 4)])
-def test_families_and_selections_match_each_selection(monkeypatch, n, d, cut, tbits):
+@pytest.mark.parametrize("n,d,cut", [(5, 2, None), (5, 3, None), (6, 2, 3000), (6, 2, 700),
+                                     (6, 3, 5)])
+def test_families_and_selections_match_each_selection(n, d, cut):
     # the first 300 ranges on the last three graphs, whole and cut at
-    # ``cut`` selections, with ranges of at most 2**tbits: the distinct
-    # families, and the selections of each in order, as one by one
-    monkeypatch.setattr(lg.extremal, "_T_BITS", tbits)
+    # ``cut`` selections: the distinct families, and the selections of each
+    # in order, as one by one
     for r in islice(_layered_walk(n, d, lg.graphs_up_to_isomorphism(n)[-3:]), 300):
         if cut is not None:
-            r.stop = min(r.stop, r.start + cut)
+            r.stop = min(r.stop, 1 + cut)
         by_family = {}
-        for T in range(r.start, r.stop):
+        for T in range(1, r.stop):
             by_family.setdefault(_family(r, T), []).append(T)
         assert r.families() == set(by_family)
         assert all(list(r.selections(f)) == ts for f, ts in by_family.items())
@@ -903,17 +912,10 @@ def test_a_screen_the_fresh_laplacian_contradicts_raises(monkeypatch):
         lg.probe_equality_cases(2, 6, mode="random", budget=300, seed=9)
 
 
-def test_top_layers_wider_than_a_batch_value(monkeypatch):
-    # tops past _T_BITS are picked outside the uint64 batch values
-    expect = [_report(lg.probe_equality_cases(d, 5)) for d in (2, 3)]
-    monkeypatch.setattr(lg.extremal, "_T_BITS", 2)
-    assert [_report(lg.probe_equality_cases(d, 5)) for d in (2, 3)] == expect
-
-
 def test_k8_offers_70_tops_at_d3(monkeypatch):
     K8 = tuple(combinations(range(8), 2))
     monkeypatch.setitem(globals(), "graphs_up_to_isomorphism", lambda n: (K8,))
-    assert list(lg.extremal._exhaustive(8, 3, [K8], 50)) == list(
+    assert list(lg.extremal._screen_and_confirm(8, 3, _layered_walk(8, 3, [K8]), 50)) == list(
         _probe_general(8, 3, 50, 1e-7))
 
 
